@@ -3,7 +3,7 @@
 Subcommands: analyze (full report on a state file), generate (write family
 states), search (optimizer runs), verify (cross-module property suite), and
 sample (seeded measurement shots). Exit codes: 0 success or verdict pass,
-1 verdict fail, 2 usage or parse error.
+1 verdict fail, 2 usage, parse or I/O error.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .search import (
     optimize,
     random_constraint_params,
 )
-from .statefile import StateFileError, format_state, read_state_file
+from .statefile import format_state, read_state_file
 from .states import (
     EXAMPLE_STATE_NAMES,
     State,
@@ -260,6 +260,9 @@ def cmd_search(args) -> int:
                     "iterations": o.iterations,
                     "final_cost": o.final_cost,
                     "converged": o.converged,
+                    "stop_reason": o.stop_reason,
+                    "cost_evals": o.cost_evals,
+                    "escapes": o.escapes,
                 }
                 for k, o in enumerate(outcomes, start=1)
             ],
@@ -594,10 +597,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,12 @@
 and a numerical optimizer for any qubit count.
 
 The cost function is the sum of squared local Pauli expectations; its zero
-set is exactly the maximally entangled states. The optimizer runs gradient
-descent restricted to the unit sphere with a backtracking line search, plus
-seeded random tangent kicks to leave exact critical points such as product
-states (which are flat maxima) and saddles.
+set is exactly the maximally entangled states. The 3n expectations are the
+residuals of an underdetermined least-squares problem, so the optimizer takes
+damped (Levenberg-Marquardt) minimum-norm Gauss-Newton steps and retracts
+onto the unit sphere by renormalizing, plus seeded random tangent kicks to
+leave exact critical points such as product states (which are flat maxima)
+and saddles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .states import State
 _HALF = 0.5
 _R_SLACK = 1e-12
 _BRANCH_TOL = 1e-9
-_MIN_STEP = 1e-14
+_DAMPING_TRIES = 8
+_DAMPING_FLOOR = 1e-3
 _ESCAPE_DIRECTIONS = 32
 _ESCAPE_SIZES = (0.25, 0.05, 0.01, 1e-3)
 
@@ -118,9 +121,7 @@ def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     nn = np.vdot(psi, psi).real
     out = np.empty((n_qubits, 3))
     for site in range(n_qubits):
-        left = 1 << site
-        right = 1 << (n_qubits - site - 1)
-        a = psi.reshape(left, 2, right)
+        a = psi.reshape(1 << site, 2, -1)
         a0, a1 = a[:, 0, :], a[:, 1, :]
         cross = np.vdot(a0, a1)
         out[site, 0] = 2.0 * cross.real
@@ -128,6 +129,28 @@ def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
         out[site, 2] = np.vdot(a0, a0).real - np.vdot(a1, a1).real
     out /= nn
     return out
+
+
+def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3n residuals e (the expectations, site-major) and their Jacobian.
+
+    Row k of the complex W is 2(sigma_k psi - e_k psi)/<psi|psi>, the
+    gradient of e_k packed like cost_gradient_raw. It is returned viewed as
+    float64: the real Jacobian J in interleaved (Re, Im) coordinates, so
+    J J^T = Re(W W^H) and J^T y viewed as complex is W^T y. Real products
+    also keep these small matrices off multithreaded complex BLAS calls.
+    """
+    e = _local_expectations_raw(psi, n_qubits).ravel()
+    w = np.empty((3 * n_qubits, psi.size), dtype=complex)
+    for site in range(n_qubits):
+        a = psi.reshape(1 << site, 2, -1)
+        flip = a[:, ::-1]
+        # sigma_x, sigma_y, sigma_z applied to the site's bit
+        v = w[3 * site : 3 * site + 3].reshape(3, *a.shape)
+        v[0], v[1], v[2] = flip, flip * [[-1j], [1j]], a * [[1.0], [-1.0]]
+    w -= e[:, None] * psi
+    w *= 2.0 / np.vdot(psi, psi).real
+    return e, w.view(np.float64)
 
 
 def cost_raw(psi: np.ndarray, n_qubits: int) -> float:
@@ -147,35 +170,33 @@ def cost(state: State) -> float:
 def cost_gradient_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     """Gradient of cost_raw in real coordinates, packed as a complex vector.
 
-    Entry j holds d cost/d Re(psi_j) + i d cost/d Im(psi_j). Because the
-    cost is Rayleigh-normalized the gradient is automatically tangent to
-    both the radial and the global-phase directions on the unit sphere.
+    Entry j holds d cost/d Re(psi_j) + i d cost/d Im(psi_j); this is 2 e^T W
+    from the kernel the optimizer steps with. Because the cost is
+    Rayleigh-normalized the gradient is automatically tangent to both the
+    radial and the global-phase directions on the unit sphere.
     """
-    nn = np.vdot(psi, psi).real
-    e = _local_expectations_raw(psi, n_qubits)
-    total = float(np.sum(e * e))
-    acc = np.zeros_like(psi)
-    for site in range(n_qubits):
-        left = 1 << site
-        right = 1 << (n_qubits - site - 1)
-        a = psi.reshape(left, 2, right)
-        a0, a1 = a[:, 0, :], a[:, 1, :]
-        e1, e2, e3 = e[site]
-        v = acc.reshape(left, 2, right)
-        v[:, 0, :] += e3 * a0 + (e1 - 1j * e2) * a1
-        v[:, 1, :] += (e1 + 1j * e2) * a0 - e3 * a1
-    return 4.0 * (acc - total * psi) / nn
+    e, jac = _residuals_jacobian(psi, n_qubits)
+    return 2.0 * (e @ jac).view(np.complex128)
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one optimizer run; converged means final_cost <= tol."""
+    """Result of one optimizer run; converged means final_cost <= tol.
+
+    stop_reason is "converged", "max_iter" (iterations ran out first) or
+    "stuck" (no damped step and no escape kick lowered the cost). cost_evals
+    counts cost evaluations, the start included; escapes counts the
+    iterations that moved by a random kick.
+    """
 
     state: State
     final_cost: float
     iterations: int
     converged: bool
     seed: int
+    stop_reason: str
+    cost_evals: int
+    escapes: int
 
 
 def optimize(
@@ -187,12 +208,12 @@ def optimize(
 ) -> SearchOutcome:
     """Descend the cost over the unit sphere from a given state.
 
-    Backtracking line search halves the step from 0.5 and only accepts
-    strict cost decreases, so accepted iterates are monotone. When no
-    decrease is found (exact critical point, or gradient below rounding),
-    seeded random tangent kicks are tried, again accepted only on strict
-    decrease; if they all fail the run stops with the best iterate so far.
-    Exhausting max_iter is not an error, it just reports converged=False.
+    Each iteration takes the damped Gauss-Newton step -J^T (J J^T + mu I)^-1 e
+    on the 3n residuals and renormalizes, accepting only a strict cost
+    decrease, so iterates are monotone and the last is the best. When no
+    damped step helps (exact critical point, where J^T e = 0, or rounding),
+    seeded random tangent kicks are tried under the same rule; if all fail
+    the run stops "stuck". Running out of max_iter is not an error either.
     A list passed as trace collects the cost of every accepted iterate.
     """
     if tol <= 0.0:
@@ -202,73 +223,64 @@ def optimize(
     n = initial.n_qubits
     psi = initial.amplitudes.copy()
     current = cost_raw(psi, n)
-    best_psi, best_cost = psi.copy(), current
     rng = np.random.default_rng(seed)
-    iterations = 0
+    iterations = escapes = 0
+    evals = 1
     if trace is not None:
         trace.append(current)
     while current > tol and iterations < max_iter:
-        grad = cost_gradient_raw(psi, n)
-        # Backtracking by halving from 0.5, but keep halving while the
-        # candidate still improves: stopping at the first strict decrease
-        # can lock onto the edge-of-stability step that ping-pongs across
-        # a valley with only O(cost^2) progress per iteration.
-        accepted = None
-        step = 0.5
-        while step >= _MIN_STEP:
-            cand = psi - step * grad
-            cand /= np.linalg.norm(cand)
+        for cand, kicked in _candidates(psi, n, rng):
             c = cost_raw(cand, n)
-            if accepted is None:
-                if c < current:
-                    accepted = (cand, c)
-            elif c < accepted[1]:
-                accepted = (cand, c)
-            else:
+            evals += 1
+            if c < current:
                 break
-            step *= 0.5
-        if accepted is not None:
-            psi, current = accepted
-            moved = True
         else:
-            moved = False
-        if not moved:
-            moved = _escape(psi, current, n, rng)
-            if moved:
-                psi, current = moved
-            else:
-                break
+            break
+        psi, current = cand, c
+        escapes += kicked
         iterations += 1
         if trace is not None:
             trace.append(current)
-        if current < best_cost:
-            best_psi, best_cost = psi.copy(), current
     return SearchOutcome(
-        state=State(n_qubits=n, amplitudes=best_psi),
-        final_cost=best_cost,
+        state=State(n_qubits=n, amplitudes=psi),
+        final_cost=current,
         iterations=iterations,
-        converged=best_cost <= tol,
+        converged=current <= tol,
         seed=seed,
+        stop_reason=(
+            "converged" if current <= tol else "max_iter" if iterations == max_iter else "stuck"
+        ),
+        cost_evals=evals,
+        escapes=escapes,
     )
 
 
-def _escape(psi: np.ndarray, current: float, n_qubits: int, rng):
-    """Try random tangent kicks of decreasing size; keep one that lowers cost."""
-    dim = psi.size
+def _candidates(psi: np.ndarray, n_qubits: int, rng):
+    """Yield (unit candidate, is_kick): damped Gauss-Newton steps, then kicks.
+
+    The damping mu starts at 0 and after each rejected step becomes
+    max(1e-3 tr(J J^T)/3n, 10 mu); kicks are random tangent directions.
+    """
+    e, jac = _residuals_jacobian(psi, n_qubits)
+    jjt = jac @ jac.T
+    floor = _DAMPING_FLOOR * np.trace(jjt) / e.size
+    mu = 0.0
+    for _ in range(_DAMPING_TRIES):
+        try:
+            y = np.linalg.solve(jjt + mu * np.eye(e.size), e)
+        except np.linalg.LinAlgError:  # exactly singular J J^T, only at mu = 0
+            pass
+        else:
+            cand = psi - (y @ jac).view(np.complex128)
+            yield cand / np.linalg.norm(cand), False
+        mu = max(floor, 10.0 * mu)
     for _ in range(_ESCAPE_DIRECTIONS):
-        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        d = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
         d -= np.vdot(psi, d) * psi
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            continue
-        d /= norm
+        d /= np.linalg.norm(d)
         for eps in _ESCAPE_SIZES:
             cand = psi + eps * d
-            cand /= np.linalg.norm(cand)
-            c = cost_raw(cand, n_qubits)
-            if c < current:
-                return cand, c
-    return None
+            yield cand / np.linalg.norm(cand), True
 
 
 def multi_start(

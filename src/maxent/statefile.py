@@ -28,10 +28,14 @@ FORMAT_TAG = "maxent-state/1"
 
 
 class StateFileError(ValueError):
-    """Malformed state document; the message carries a line diagnostic."""
+    """Malformed or unreadable state document.
 
-    def __init__(self, line: int, message: str) -> None:
-        super().__init__(f"line {line}: {message}")
+    line is the 1-based line a parse diagnostic points at, and prefixes the
+    message; it is None when the file could not be read at all.
+    """
+
+    def __init__(self, line: int | None, message: str) -> None:
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -133,5 +137,5 @@ def read_state_file(path) -> tuple[State, str | None]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise StateFileError(0, f"cannot read {path}: {exc}") from None
+        raise StateFileError(None, f"cannot read {path}: {exc.strerror or exc}") from None
     return parse_state(text)

@@ -255,3 +255,38 @@ def test_sample_deterministic_output(capsys, tmp_path):
     _, first, _ = run(capsys, "sample", path, "--bases", "xy", "--shots", "4000", "--seed", "8")
     _, second, _ = run(capsys, "sample", path, "--bases", "xy", "--shots", "4000", "--seed", "8")
     assert first == second
+
+
+def test_search_json_reports_stop_telemetry(capsys):
+    code, out, _ = run(
+        capsys, "search", "--n", "2", "--starts", "3", "--max-iter", "1",
+        "--tol", "1e-12", "--seed", "3", "--json",
+    )
+    assert code == 1
+    for r in json.loads(out)["results"]:
+        assert r["stop_reason"] == "max_iter" and not r["converged"]
+        assert r["cost_evals"] >= 2 and r["escapes"] == 0
+    code, out, _ = run(capsys, "search", "--n", "4", "--starts", "2", "--seed", "1", "--json")
+    assert code == 0
+    assert {r["stop_reason"] for r in json.loads(out)["results"]} == {"converged"}
+
+
+def test_generate_unwritable_out_exit_2(capsys, tmp_path):
+    path = str(tmp_path / "no-such-dir" / "x.txt")
+    code, out, err = run(capsys, "generate", "ghz", "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_search_unwritable_out_exit_2(capsys, tmp_path):
+    path = str(tmp_path / "no-such-dir" / "x.txt")
+    code, _, err = run(capsys, "search", "--n", "2", "--starts", "1", "--out", path)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):
+    path = str(tmp_path / "missing.txt")
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert err == f"error: cannot read {path}: No such file or directory\n"

@@ -13,6 +13,7 @@ from maxent.entanglement import (
 from maxent.search import (
     ConstraintParams,
     SearchOutcome,
+    _residuals_jacobian,
     cost,
     cost_gradient_raw,
     cost_raw,
@@ -238,3 +239,59 @@ def test_multi_start_contract():
 
 def test_three_qubit_balanced_example_has_zero_cost():
     assert cost(example_state("three_qubit_balanced")) < 1e-12
+
+
+def test_residuals_jacobian_matches_oracle():
+    # rows are 2(sigma_k psi - e_k psi)/<psi|psi> with site-major k, also off
+    # the unit sphere; the float64 view interleaves (Re, Im)
+    for n, scale in ((2, 1.0), (3, 0.6), (4, 1.7)):
+        psi = scale * haar_random_state(n, 50 + n).amplitudes
+        e, jac = _residuals_jacobian(psi, n)
+        w = jac.view(complex)
+        nn = np.vdot(psi, psi).real
+        for site in range(1, n + 1):
+            for axis in (1, 2, 3):
+                k = 3 * (site - 1) + axis - 1
+                sp = oracles.site_operator(n, site, oracles.SIGMA[axis]) @ psi
+                want = oracles.expectation(psi, n, site, axis) / nn
+                assert e[k] == pytest.approx(want, abs=1e-12)
+                assert np.allclose(w[k], 2.0 * (sp - want * psi) / nn, atol=1e-12)
+
+
+def test_optimize_stop_reasons_and_counts():
+    done = optimize(epr_family("varphi", 0.0), tol=1e-12)
+    assert (done.stop_reason, done.cost_evals, done.escapes) == ("converged", 1, 0)
+
+    initial = from_amplitudes([0.9, math.sqrt(1 - 0.81), 0, 0])
+    starved = optimize(initial, tol=1e-12, max_iter=1)
+    assert starved.stop_reason == "max_iter"
+    assert starved.cost_evals >= 2
+    assert optimize(initial, tol=1e-12, max_iter=0).stop_reason == "max_iter"
+
+    # no state beats rounding by 30 orders of magnitude: every damped step
+    # and every kick fails at the floor
+    stuck = optimize(haar_random_state(2, 3), tol=1e-60)
+    assert stuck.stop_reason == "stuck" and not stuck.converged
+    assert stuck.final_cost < 1e-24
+    assert stuck.cost_evals > stuck.iterations + 100
+
+    # |++> is an exact critical point: only a kick can leave it
+    kicked = optimize(from_amplitudes([1.0, 0, 0, 0]), tol=1e-12, seed=2)
+    assert kicked.stop_reason == "converged" and kicked.escapes >= 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_multi_start_converges_quickly_for_larger_registers(n):
+    runs = multi_start(n, 16, 1e-12, seed=100 + n)
+    for o in runs:
+        assert o.converged and o.stop_reason == "converged"
+        assert o.iterations <= 12
+        for site in range(1, n + 1):
+            assert abs(reduced_entropy(o.state, site).entropy_nats - LN2) <= 1e-6
+
+
+def test_optimize_escapes_four_qubit_product_state():
+    out = optimize(from_amplitudes([1.0] + [0.0] * 15), tol=1e-12, seed=4)
+    assert out.converged and out.escapes >= 1
+    for site in range(1, 5):
+        assert abs(reduced_entropy(out.state, site).entropy_nats - LN2) <= 1e-6

@@ -118,3 +118,10 @@ def test_written_document_is_stable():
     assert text == format_state(st)
     assert text.startswith("format: maxent-state/1\nn_qubits: 2\namplitudes:\n")
     assert text.endswith("\n")
+
+
+def test_unreadable_file_error_has_no_line(tmp_path):
+    with pytest.raises(StateFileError) as exc:
+        read_state_file(tmp_path / "missing.txt")
+    assert exc.value.line is None
+    assert str(exc.value).startswith("cannot read ")
