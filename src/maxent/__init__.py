@@ -36,6 +36,7 @@ from .measurement import (
     empirical_correlation,
     empirical_expectation,
     local_expectation,
+    local_expectations,
     local_variance,
     mutual_information,
     pauli,
@@ -110,6 +111,7 @@ __all__ = [
     "haar_random_su2",
     "hermitian_eigenvalues_2x2",
     "local_expectation",
+    "local_expectations",
     "local_variance",
     "multi_start",
     "mutual_information",

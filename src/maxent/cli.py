@@ -26,14 +26,11 @@ from .entanglement import (
     trace_invariant,
 )
 from .measurement import (
-    AXES,
-    AXIS_TO_CHAR,
     axes_from_chars,
     correlation_matrix,
     empirical_correlation,
     empirical_expectation,
-    local_expectation,
-    local_variance,
+    local_expectations,
     mutual_information,
     sample_outcomes,
 )
@@ -77,17 +74,13 @@ def _emit(text: str) -> None:
 
 def _analysis_document(state: State, label, tol: float, constraint_tol: float) -> dict:
     sites = []
-    for site in range(1, state.n_qubits + 1):
+    for site, bloch in enumerate(local_expectations(state).tolist(), start=1):
         rep = reduced_entropy(state, site)
         sites.append(
             {
                 "site": site,
-                "expectations": {
-                    AXIS_TO_CHAR[a]: local_expectation(state, site, a) for a in AXES
-                },
-                "variances": {
-                    AXIS_TO_CHAR[a]: local_variance(state, site, a) for a in AXES
-                },
+                "expectations": dict(zip("xyz", bloch)),
+                "variances": {c: 1.0 - e * e for c, e in zip("xyz", bloch)},
                 "entropy_nats": rep.entropy_nats,
                 "entropy_bits": rep.entropy_nats / LN2,
                 "eigenvalues": list(rep.eigenvalues),
@@ -379,9 +372,8 @@ def _verify_entropy_coupling(trials, rng, _tol, _ctol, _perturb) -> int:
     for _ in range(trials):
         state = haar_random_state(2, rng)
         ok = True
-        for s in (1, 2):
-            b2 = sum(local_expectation(state, s, a) ** 2 for a in AXES)
-            ok = ok and LN2 - reduced_entropy(state, s).entropy_nats >= b2 / 2 - 1e-12
+        for s, b in enumerate(local_expectations(state), start=1):
+            ok = ok and LN2 - reduced_entropy(state, s).entropy_nats >= b @ b / 2 - 1e-12
         fails += 0 if ok else 1
     return fails
 

@@ -21,7 +21,7 @@ from .linalg import (
     hermitian_eigenvalues_2x2,
     partial_trace_single_site,
 )
-from .measurement import AXES, _SIGMA, local_expectation
+from .measurement import AXES, _SIGMA, local_expectations
 from .states import State, as_coefficient_matrix
 
 CRITERION_TOL = 1e-9
@@ -34,17 +34,7 @@ LN2 = math.log(2.0)
 
 def reduced_density(state: State, site: int) -> np.ndarray:
     """Single-site reduced density matrix, a 2x2 Hermitian ndarray."""
-    rho = partial_trace_single_site(state.amplitudes, state.n_qubits, site)
-    if state.n_qubits == 2 and site == 1:
-        # Self-check: site-1 marginal must share eigenvalues with A A^dagger.
-        a = as_coefficient_matrix(state)
-        direct = hermitian_eigenvalues_2x2(a @ a.conj().T)
-        traced = hermitian_eigenvalues_2x2(rho)
-        if max(abs(d - t) for d, t in zip(direct, traced)) > 1e-12:
-            raise RuntimeError(
-                "partial trace disagrees with coefficient-matrix eigenvalues"
-            )
-    return rho
+    return partial_trace_single_site(state.amplitudes, state.n_qubits, site)
 
 
 @dataclass(frozen=True)
@@ -100,12 +90,13 @@ def criterion_check(state: State, tolerance: float = CRITERION_TOL) -> Criterion
     """Test whether all 3n local Pauli expectations vanish within tolerance."""
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    e = local_expectations(state)
     expectations = {
-        (site, axis): local_expectation(state, site, axis)
+        (site, axis): float(e[site - 1, axis - 1])
         for site in range(1, state.n_qubits + 1)
         for axis in AXES
     }
-    max_abs = max(abs(v) for v in expectations.values())
+    max_abs = float(np.max(np.abs(e)))
     return CriterionReport(
         expectations=expectations,
         max_abs_expectation=max_abs,

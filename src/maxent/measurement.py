@@ -1,9 +1,11 @@
 """Local Pauli observables, correlations, and a Born-rule shot sampler.
 
 Axes are numbered 1, 2, 3 for the x, y, z Pauli operators in the |+>, |->
-basis. Expectations are computed by acting on the state vector directly;
-the density-matrix route lives in :mod:`maxent.entanglement` and the two
-are cross-checked in the test suite.
+basis. All 3n local expectations come from one kernel,
+:func:`local_expectations` (which :mod:`maxent.search` runs on unnormalized
+vectors too), and each pair's correlations from one contraction of the
+pair's reduced density. The single-site density-matrix route lives in
+:mod:`maxent.entanglement` and the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -54,12 +56,39 @@ def pauli(axis: int) -> np.ndarray:
     return _SIGMA[_check_axis(axis)].copy()
 
 
+def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
+    """All 3n local Pauli expectations of an unnormalized vector.
+
+    Row i holds (e1, e2, e3) for site i+1, each divided by <psi|psi> so the
+    result is scale invariant (smooth off the sphere, which the gradient
+    check relies on).
+    """
+    nn = np.vdot(psi, psi).real
+    out = np.empty((n_qubits, 3))
+    for site in range(n_qubits):
+        a = psi.reshape(1 << site, 2, -1)
+        a0, a1 = a[:, 0, :], a[:, 1, :]
+        cross = np.vdot(a0, a1)
+        out[site, 0] = 2.0 * cross.real
+        out[site, 1] = 2.0 * cross.imag
+        out[site, 2] = np.vdot(a0, a0).real - np.vdot(a1, a1).real
+    out /= nn
+    return out
+
+
+def local_expectations(state: State) -> np.ndarray:
+    """All 3n local Pauli expectations as an (n, 3) array.
+
+    Entry [site - 1, axis - 1] is the mean of that single-site Pauli
+    measurement; row site - 1 is the site's Bloch vector.
+    """
+    return _local_expectations_raw(state.amplitudes, state.n_qubits)
+
+
 def local_expectation(state: State, site: int, axis: int) -> float:
     """Mean of a single-site Pauli measurement, in [-1, 1]."""
     _check_site(state, site)
-    op = _SIGMA[_check_axis(axis)]
-    acted = apply_single_site(state.amplitudes, state.n_qubits, site, op)
-    return float(np.vdot(state.amplitudes, acted).real)
+    return float(local_expectations(state)[site - 1, _check_axis(axis) - 1])
 
 
 def local_variance(state: State, site: int, axis: int) -> float:
@@ -70,23 +99,14 @@ def local_variance(state: State, site: int, axis: int) -> float:
 
 def bloch_vector(state: State, site: int) -> np.ndarray:
     """The three local Pauli expectations of one site as a real 3-vector."""
-    return np.array([local_expectation(state, site, axis) for axis in AXES])
+    _check_site(state, site)
+    return local_expectations(state)[site - 1]
 
 
 def correlation(state: State, site_a: int, axis_a: int, site_b: int, axis_b: int) -> float:
     """Covariance of two single-site Pauli measurements on distinct sites."""
-    if site_a == site_b:
-        raise ValueError("correlation requires two distinct sites")
-    _check_site(state, site_a)
-    _check_site(state, site_b)
-    op_a = _SIGMA[_check_axis(axis_a)]
-    op_b = _SIGMA[_check_axis(axis_b)]
-    acted = apply_single_site(state.amplitudes, state.n_qubits, site_b, op_b)
-    acted = apply_single_site(acted, state.n_qubits, site_a, op_a)
-    joint = float(np.vdot(state.amplitudes, acted).real)
-    return joint - local_expectation(state, site_a, axis_a) * local_expectation(
-        state, site_b, axis_b
-    )
+    i, j = _check_axis(axis_a) - 1, _check_axis(axis_b) - 1
+    return float(correlation_matrix(state, site_a, site_b).t[i, j])
 
 
 @dataclass(frozen=True)
@@ -104,25 +124,31 @@ class CorrelationMatrix:
         object.__setattr__(self, "t", t)
 
 
+# Row 4p + q is (s_p (x) s_q)^T flattened, for s_0..s_3 = I, x, y, z, so its
+# product with a flattened 4x4 density rho is Tr(rho s_p (x) s_q).
+_PAULI_BASIS = (np.eye(2), *_SIGMA.values())
+_PAIR_PAULIS = np.array([np.kron(p, q).T.ravel() for p in _PAULI_BASIS for q in _PAULI_BASIS])
+
+
 def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMatrix:
-    """All nine Pauli covariances between two distinct sites."""
+    """All nine Pauli covariances between two distinct sites.
+
+    The moments M[p, q] = <s_p (x) s_q> (s_0 = I) of the pair's reduced
+    density hold the joint terms and both marginals: T = M[i, j] - M[i, 0] M[0, j].
+    """
     if state.n_qubits < 2:
         raise ValueError("correlation matrix needs at least 2 qubits")
     if site_a == site_b:
         raise ValueError("correlation matrix requires two distinct sites")
     _check_site(state, site_a)
     _check_site(state, site_b)
-    e_a = [local_expectation(state, site_a, axis) for axis in AXES]
-    e_b = [local_expectation(state, site_b, axis) for axis in AXES]
-    t = np.empty((3, 3))
-    for i, axis_a in enumerate(AXES):
-        op_a = _SIGMA[axis_a]
-        for j, axis_b in enumerate(AXES):
-            acted = apply_single_site(state.amplitudes, state.n_qubits, site_b, _SIGMA[axis_b])
-            acted = apply_single_site(acted, state.n_qubits, site_a, op_a)
-            joint = float(np.vdot(state.amplitudes, acted).real)
-            t[i, j] = joint - e_a[i] * e_b[j]
-    return CorrelationMatrix(t=t, site_pair=(site_a, site_b))
+    lo, hi = sorted((site_a, site_b))
+    cube = state.amplitudes.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+    pair = cube.transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    rho = pair @ pair.conj().T
+    m = (_PAIR_PAULIS @ rho.ravel()).real.reshape(4, 4)
+    t = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:])
+    return CorrelationMatrix(t=t if site_a < site_b else t.T, site_pair=(site_a, site_b))
 
 
 def born_probabilities(state: State, bases) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_QUBITS
+from .measurement import _local_expectations_raw
 from .states import State
 
 _HALF = 0.5
@@ -109,26 +110,6 @@ def haar_random_su2(seed) -> np.ndarray:
     phases /= np.abs(phases)
     q = q * phases
     return q / np.sqrt(np.linalg.det(q))
-
-
-def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
-    """All 3n local Pauli expectations of an unnormalized vector.
-
-    Row i holds (e1, e2, e3) for site i+1, each divided by <psi|psi> so the
-    result is scale invariant (smooth off the sphere, which the gradient
-    check relies on).
-    """
-    nn = np.vdot(psi, psi).real
-    out = np.empty((n_qubits, 3))
-    for site in range(n_qubits):
-        a = psi.reshape(1 << site, 2, -1)
-        a0, a1 = a[:, 0, :], a[:, 1, :]
-        cross = np.vdot(a0, a1)
-        out[site, 0] = 2.0 * cross.real
-        out[site, 1] = 2.0 * cross.imag
-        out[site, 2] = np.vdot(a0, a0).real - np.vdot(a1, a1).real
-    out /= nn
-    return out
 
 
 def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:

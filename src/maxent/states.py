@@ -111,7 +111,12 @@ def from_amplitudes(raw) -> State:
         raise ValueError(f"amplitude count {size} is not a power of two >= 2")
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not math.isfinite(norm):
+        # Finite entries whose squares overflow: bring the largest part to 1.
+        amps = amps / np.max(np.abs(amps.view(np.float64)))
+        norm = float(np.linalg.norm(amps))
     if norm <= INGEST_NORM_FLOOR:
         raise ValueError("amplitude vector has (near) zero norm")
     if abs(norm - 1.0) > _EXACT_NORM_WINDOW:

@@ -15,7 +15,8 @@ from maxent.entanglement import (
     trace_invariant,
     trace_invariant_raw,
 )
-from maxent.measurement import AXES, local_expectation
+from maxent.linalg import hermitian_eigenvalues_2x2
+from maxent.measurement import AXES, local_expectation, local_expectations
 from maxent.search import (
     generate_constrained,
     haar_random_state,
@@ -53,6 +54,17 @@ def test_reduced_density_matches_oracle_on_random_states():
             assert np.allclose(reduced_density(st, site), want, atol=1e-13)
 
 
+def test_two_qubit_marginals_share_the_coefficient_matrix_spectrum():
+    # rho_1 = A A^dagger and rho_2 = (A^dagger A)^T for the coefficient matrix A
+    for seed in range(50):
+        st = haar_random_state(2, seed)
+        a = as_coefficient_matrix(st)
+        for site, gram in ((1, a @ a.conj().T), (2, a.conj().T @ a)):
+            traced = hermitian_eigenvalues_2x2(reduced_density(st, site))
+            direct = hermitian_eigenvalues_2x2(gram)
+            assert max(abs(d - t) for d, t in zip(direct, traced)) <= 1e-12
+
+
 def test_reduced_entropy_examples():
     rep = reduced_entropy(BELL, 1)
     assert rep.entropy_nats == pytest.approx(LN2, abs=1e-12)
@@ -76,6 +88,19 @@ def test_reduced_entropy_bounds_on_random_states():
                 oracles.partial_trace_loops(st.amplitudes, 3, site)
             )
             assert rep.entropy_nats == pytest.approx(want, abs=1e-11)
+
+
+def test_criterion_check_reports_the_kernel_entries():
+    for n in (1, 2, 5, 8):
+        st = haar_random_state(n, seed=40 + n)
+        e = local_expectations(st)
+        rep = criterion_check(st, 1e-9)
+        assert rep.expectations == {
+            (site, axis): e[site - 1, axis - 1]
+            for site in range(1, n + 1)
+            for axis in AXES
+        }
+        assert rep.max_abs_expectation == np.max(np.abs(e))
 
 
 def test_criterion_check_examples():

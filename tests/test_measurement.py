@@ -16,6 +16,7 @@ from maxent.measurement import (
     empirical_correlation,
     empirical_expectation,
     local_expectation,
+    local_expectations,
     local_variance,
     mutual_information,
     outcome_symbols,
@@ -54,6 +55,20 @@ def test_local_expectation_matches_dense_oracle():
                 want = oracles.expectation(st.amplitudes, n, site, axis)
                 assert got == pytest.approx(want, abs=1e-13)
                 assert -1.0 - 1e-12 <= got <= 1.0 + 1e-12
+
+
+def test_local_expectations_kernel_matches_dense_oracle():
+    rng = np.random.default_rng(16)
+    for n in range(1, 9):
+        st = _random_state(rng, n)
+        got = local_expectations(st)
+        assert got.shape == (n, 3)
+        want = [
+            [oracles.expectation(st.amplitudes, n, site, axis) for axis in AXES]
+            for site in range(1, n + 1)
+        ]
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        assert np.array_equal(bloch_vector(st, n), got[n - 1])
 
 
 def test_local_expectation_agrees_with_density_route():
@@ -116,6 +131,23 @@ def test_correlation_matrix_examples():
 
     with pytest.raises(ValueError):
         correlation_matrix(bell, 1, 1)
+
+
+def test_correlation_matrix_matches_oracle_on_all_ordered_pairs():
+    rng = np.random.default_rng(17)
+    for n in (3, 5, 8):
+        st = _random_state(rng, n)
+        for sa in range(1, n + 1):
+            for sb in range(1, n + 1):
+                if sa == sb:
+                    continue
+                cm = correlation_matrix(st, sa, sb)
+                assert cm.site_pair == (sa, sb)
+                want = [
+                    [oracles.covariance(st.amplitudes, n, sa, i, sb, j) for j in AXES]
+                    for i in AXES
+                ]
+                assert np.allclose(cm.t, want, rtol=0, atol=1e-13)
 
 
 def test_born_probabilities_match_projector_oracle():

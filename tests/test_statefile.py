@@ -43,6 +43,12 @@ def test_parse_normalizes_loose_input():
     assert np.allclose(st.amplitudes, [0.6, 0.8], atol=1e-15)
 
 
+def test_parse_normalizes_rows_whose_norm_overflows():
+    text = "format: maxent-state/1\nn_qubits: 1\namplitudes:\n3e200 0\n0 -4e200\n"
+    st, _ = parse_state(text)
+    assert np.allclose(st.amplitudes, [0.6, -0.8j], atol=1e-15)
+
+
 def test_parse_tolerates_blank_lines_and_exponents():
     text = (
         "format: maxent-state/1\n\nn_qubits: 1\n\namplitudes:\n"

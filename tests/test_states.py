@@ -60,6 +60,16 @@ def test_from_amplitudes_normalizes():
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-15
 
 
+def test_from_amplitudes_survives_norm_overflow():
+    # finite entries whose squared sum overflows a double
+    st = from_amplitudes([1e200, 1e200])
+    assert np.allclose(st.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
+    huge = np.finfo(float).max
+    st = from_amplitudes([complex(huge, -huge), 0, 0, complex(huge, huge)])
+    assert np.allclose(st.amplitudes, np.array([1 - 1j, 0, 0, 1 + 1j]) / 2, atol=1e-15)
+    assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-15
+
+
 def test_from_amplitudes_rejects_bad_input():
     with pytest.raises(ValueError):
         from_amplitudes([1.0, 0, 0])  # not a power of two
