@@ -20,21 +20,17 @@ from .entanglement import (
     schmidt_coefficients,
     trace_invariant,
 )
-from .linalg import (
-    apply_single_site,
-    frobenius_norm,
-    hermitian_eigenvalues_2x2,
-    partial_trace_single_site,
-    tensor_product,
-)
+from .linalg import apply_single_site, hermitian_eigenvalues_2x2, partial_trace_single_site
 from .measurement import (
     CorrelationMatrix,
     ShotRecord,
+    axes_from_chars,
     born_probabilities,
     correlation,
     correlation_matrix,
     empirical_correlation,
     empirical_expectation,
+    empirical_moments,
     local_expectation,
     local_expectations,
     local_variance,
@@ -89,6 +85,7 @@ __all__ = [
     "apply_local_unitaries",
     "apply_single_site",
     "as_coefficient_matrix",
+    "axes_from_chars",
     "basis_index",
     "basis_label",
     "born_probabilities",
@@ -100,10 +97,10 @@ __all__ = [
     "criterion_check",
     "empirical_correlation",
     "empirical_expectation",
+    "empirical_moments",
     "epr_family",
     "example_state",
     "format_state",
-    "frobenius_norm",
     "from_amplitudes",
     "generate_constrained",
     "ghz",
@@ -126,7 +123,6 @@ __all__ = [
     "sample_outcomes",
     "schmidt_coefficients",
     "schmidt_state",
-    "tensor_product",
     "trace_invariant",
     "write_state_file",
 ]

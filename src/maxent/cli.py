@@ -28,8 +28,7 @@ from .entanglement import (
 from .measurement import (
     axes_from_chars,
     correlation_matrix,
-    empirical_correlation,
-    empirical_expectation,
+    empirical_moments,
     local_expectations,
     mutual_information,
     sample_outcomes,
@@ -439,39 +438,31 @@ def cmd_sample(args) -> int:
     if args.shots < 1:
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
     record = sample_outcomes(state, bases, args.shots, args.seed)
-    n = state.n_qubits
-    expectations = []
-    for site in range(1, n + 1):
-        m = empirical_expectation(record, site)
-        se = math.sqrt(max(1.0 - m * m, 0.0) / record.shots)
-        expectations.append({"site": site, "value": m, "std_err": se})
-    correlations = []
-    infos = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            prod = sum(
-                o[i - 1] * o[j - 1] * c for o, c in record.counts.items()
-            ) / record.shots
-            se = math.sqrt(max(1.0 - prod * prod, 0.0) / record.shots)
+    means, products = (m.tolist() for m in empirical_moments(record))
+    expectations = [
+        {"site": i + 1, "value": m, "std_err": math.sqrt(max(1.0 - m * m, 0.0) / record.shots)}
+        for i, m in enumerate(means)
+    ]
+    correlations, infos = [], []
+    for i in range(state.n_qubits):
+        for j in range(i + 1, state.n_qubits):
+            prod = products[i][j]
             correlations.append(
                 {
-                    "sites": [i, j],
+                    "sites": [i + 1, j + 1],
                     "product_mean": prod,
-                    "covariance": empirical_correlation(record, i, j),
-                    "std_err": se,
+                    "covariance": prod - means[i] * means[j],
+                    "std_err": math.sqrt(max(1.0 - prod * prod, 0.0) / record.shots),
                 }
             )
-            nats = mutual_information(record, i, j)
-            infos.append({"sites": [i, j], "nats": nats, "bits": nats / LN2})
+            nats = mutual_information(record, i + 1, j + 1)
+            infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
     if args.json:
         doc = {
             "bases": args.bases,
             "shots": record.shots,
             "seed": record.seed,
-            "counts": {
-                "".join("+" if v > 0 else "-" for v in o): c
-                for o, c in record.counts.items()
-            },
+            "counts": {"".join("+-"[v < 0] for v in o): c for o, c in record.counts.items()},
             "expectations": expectations,
             "correlations": correlations,
             "mutual_information": infos,
@@ -502,6 +493,17 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: NaN and infinities exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxent",
@@ -512,9 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report on a state file", epilog=_EPILOG)
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=1e-9, help="criterion tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-9, help="criterion tolerance")
     p.add_argument(
-        "--constraint-tol", type=float, default=1e-6, help="constraint tolerance"
+        "--constraint-tol", type=_finite_float, default=1e-6, help="constraint tolerance"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -524,20 +526,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = fam.add_parser("epr", help="(|+-> + e^{i phase}|-+>)/sqrt(2) or the ++/-- kind")
     f.add_argument("--kind", choices=["psi", "varphi"], required=True)
-    f.add_argument("--phase", type=float, default=0.0)
+    f.add_argument("--phase", type=_finite_float, default=0.0)
 
     f = fam.add_parser("schmidt", help="b1|++> + b2|-->")
-    f.add_argument("--b1", type=float, required=True)
-    f.add_argument("--b2", type=float, required=True)
+    f.add_argument("--b1", type=_finite_float, required=True)
+    f.add_argument("--b2", type=_finite_float, required=True)
 
     f = fam.add_parser("ghz", help="(|+++> +- |--->)/sqrt(2)")
     f.add_argument("--sign", choices=["+", "-"], default="+")
 
     f = fam.add_parser("constrained", help="2-qubit state from constraint coordinates")
-    f.add_argument("--r", type=float, default=None)
-    f.add_argument("--alpha", type=float, default=0.0)
-    f.add_argument("--beta", type=float, default=0.0)
-    f.add_argument("--delta", type=float, default=0.0)
+    f.add_argument("--r", type=_finite_float, default=None)
+    f.add_argument("--alpha", type=_finite_float, default=0.0)
+    f.add_argument("--beta", type=_finite_float, default=0.0)
+    f.add_argument("--delta", type=_finite_float, default=0.0)
     f.add_argument("--branch", choices=["+pi", "-pi"], default="+pi")
     f.add_argument("--random", action="store_true", help="draw parameters from --seed")
     f.add_argument("--seed", type=int, default=0)
@@ -553,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="minimize the summed squared expectations")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--out", default=None, help="write the best state here")
@@ -563,11 +565,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-module property suite")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--constraint-tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--constraint-tol", type=_finite_float, default=1e-6)
     p.add_argument(
         "--perturb",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="inject amplitude noise of this size before the constructive check",
     )

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    apply_single_site,
-    frobenius_norm,
-    hermitian_eigenvalues_2x2,
-    partial_trace_single_site,
-)
-from .measurement import AXES, _SIGMA, local_expectations
+from .linalg import _partial_trace, apply_single_site, hermitian_eigenvalues_2x2
+from .measurement import AXES, _SIGMA, _check_site, local_expectations
 from .states import State, as_coefficient_matrix
 
 CRITERION_TOL = 1e-9
@@ -34,7 +29,7 @@ LN2 = math.log(2.0)
 
 def reduced_density(state: State, site: int) -> np.ndarray:
     """Single-site reduced density matrix, a 2x2 Hermitian ndarray."""
-    return partial_trace_single_site(state.amplitudes, state.n_qubits, site)
+    return _partial_trace(state.amplitudes, _check_site(state.n_qubits, site))
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class CriterionReport:
 
 def criterion_check(state: State, tolerance: float = CRITERION_TOL) -> CriterionReport:
     """Test whether all 3n local Pauli expectations vanish within tolerance."""
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     e = local_expectations(state)
     expectations = {
@@ -132,7 +127,7 @@ def _wrap_angle(theta: float) -> float:
 
 def constraint_check(a: np.ndarray, tolerance: float = CONSTRAINT_TOL) -> ConstraintReport:
     """Check a normalized 2x2 coefficient matrix against the constraint system."""
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
@@ -190,7 +185,7 @@ def commutator_defect(state: State, site: int) -> float:
     defect = 0.0
     for axis in AXES:
         sigma = _SIGMA[axis]
-        defect = max(defect, frobenius_norm(sigma @ rho - rho @ sigma))
+        defect = max(defect, float(np.linalg.norm(sigma @ rho - rho @ sigma)))
     return defect
 
 
@@ -218,14 +213,5 @@ def apply_local_unitaries(state: State, unitaries) -> State:
 
 def trace_invariant(state: State) -> float:
     """Tr(A A^dagger) of the 2-qubit coefficient matrix; 1 when normalized."""
-    return trace_invariant_raw(as_coefficient_matrix(state))
-
-
-def trace_invariant_raw(a: np.ndarray) -> float:
-    """Tr(A A^dagger) of an arbitrary 2x2 matrix, no normalization required."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape == (4,):
-        a = a.reshape(2, 2)
-    if a.shape != (2, 2):
-        raise ValueError(f"coefficient matrix must be 2x2, got {a.shape}")
+    a = as_coefficient_matrix(state)
     return float(np.trace(a @ a.conj().T).real)

@@ -16,11 +16,9 @@ import math
 import numpy as np
 
 MAX_QUBITS = 8
-MAX_DIM = 1 << MAX_QUBITS
 
 STATE_NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
-NEGATIVE_EIGENVALUE_CLAMP = 1e-12
 
 
 def _require_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -43,22 +41,6 @@ def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
     if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
         raise ValueError("amplitudes contain non-finite entries")
     return amps
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices, first factor most significant.
-
-    Results larger than 256 x 256 (the 8-qubit cap) are rejected.
-    """
-    a = _require_matrix(a, "a")
-    b = _require_matrix(b, "b")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise ValueError(
-            f"tensor product size {rows}x{cols} exceeds the {MAX_DIM}x{MAX_DIM} cap"
-        )
-    return np.kron(a, b)
 
 
 def apply_single_site(amplitudes, n_qubits: int, site: int, op) -> np.ndarray:
@@ -106,9 +88,12 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-    left = 1 << (site - 1)
-    right = 1 << (n_qubits - site)
-    cube = amps.reshape(left, 2, right)
+    return _partial_trace(amps, site)
+
+
+def _partial_trace(amps: np.ndarray, site: int) -> np.ndarray:
+    """:func:`partial_trace_single_site` without its checks, for valid inputs."""
+    cube = amps.reshape(1 << (site - 1), 2, -1)
     return np.einsum("aib,ajb->ij", cube, cube.conj())
 
 
@@ -134,8 +119,3 @@ def hermitian_eigenvalues_2x2(m) -> tuple[float, float]:
     root = math.hypot(float(m[0, 0].real - m[1, 1].real), 2.0 * float(abs(m[0, 1])))
     return ((tr + root) / 2.0, (tr - root) / 2.0)
 
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entry moduli."""
-    m = _require_matrix(m, "m")
-    return float(np.linalg.norm(m))

@@ -45,9 +45,9 @@ def _check_axis(axis: int) -> int:
     return axis
 
 
-def _check_site(state: State, site: int) -> int:
-    if not 1 <= site <= state.n_qubits:
-        raise ValueError(f"site must be in [1, {state.n_qubits}], got {site}")
+def _check_site(n_qubits: int, site: int) -> int:
+    if not 1 <= site <= n_qubits:
+        raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
     return site
 
 
@@ -87,7 +87,7 @@ def local_expectations(state: State) -> np.ndarray:
 
 def local_expectation(state: State, site: int, axis: int) -> float:
     """Mean of a single-site Pauli measurement, in [-1, 1]."""
-    _check_site(state, site)
+    _check_site(state.n_qubits, site)
     return float(local_expectations(state)[site - 1, _check_axis(axis) - 1])
 
 
@@ -99,7 +99,7 @@ def local_variance(state: State, site: int, axis: int) -> float:
 
 def bloch_vector(state: State, site: int) -> np.ndarray:
     """The three local Pauli expectations of one site as a real 3-vector."""
-    _check_site(state, site)
+    _check_site(state.n_qubits, site)
     return local_expectations(state)[site - 1]
 
 
@@ -140,8 +140,8 @@ def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMat
         raise ValueError("correlation matrix needs at least 2 qubits")
     if site_a == site_b:
         raise ValueError("correlation matrix requires two distinct sites")
-    _check_site(state, site_a)
-    _check_site(state, site_b)
+    _check_site(state.n_qubits, site_a)
+    _check_site(state.n_qubits, site_b)
     lo, hi = sorted((site_a, site_b))
     cube = state.amplitudes.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
     pair = cube.transpose(1, 3, 0, 2, 4).reshape(4, -1)
@@ -195,26 +195,46 @@ def outcome_symbols(outcome) -> str:
     return "".join("+" if v > 0 else "-" for v in outcome)
 
 
-def _outcome_tuple(index: int, n_qubits: int) -> tuple[int, ...]:
-    return tuple(
-        1 if (index >> k) & 1 == 0 else -1 for k in range(n_qubits - 1, -1, -1)
-    )
+def _signs(n_qubits: int) -> np.ndarray:
+    """Outcome table: entry [k, i] is site i+1's +-1 outcome in outcome k."""
+    bits = np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)
+    return 1 - 2 * (bits & 1)
 
 
 @dataclass(frozen=True)
 class ShotRecord:
     """Joint local-measurement outcomes from a seeded sampling run.
 
-    ``counts`` maps outcome tuples in {+1, -1}^n to how often they occurred;
-    outcomes that never occurred are absent. The counts always sum to
-    ``shots``. ``seed`` pins the PCG64 stream that produced the record, so
-    identical inputs reproduce it exactly.
+    ``binned[k]`` counts outcome k, whose bits (most significant site first)
+    encode +1 as 0 and -1 as 1, the order of :func:`born_probabilities`.
+    The counts always sum to ``shots``. ``seed`` pins the PCG64 stream that
+    produced the record, so identical inputs reproduce it exactly.
     """
 
     bases: tuple[int, ...]
     shots: int
-    counts: dict = field(repr=False)
+    binned: np.ndarray = field(repr=False)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        binned = np.array(self.binned, dtype=np.int64)
+        if binned.shape != (1 << len(self.bases),):
+            raise ValueError(f"expected {1 << len(self.bases)} counts, got shape {binned.shape}")
+        binned.setflags(write=False)
+        object.__setattr__(self, "binned", binned)
+
+    def __eq__(self, other) -> bool:
+        """Field-by-field equality, comparing the counts as whole arrays."""
+        if not isinstance(other, ShotRecord):
+            return NotImplemented
+        mine, theirs = (self.bases, self.shots, self.seed), (other.bases, other.shots, other.seed)
+        return mine == theirs and np.array_equal(self.binned, other.binned)
+
+    @property
+    def counts(self) -> dict:
+        """Outcome tuples in {+1, -1}^n mapped to their nonzero counts."""
+        signs = _signs(len(self.bases))
+        return {tuple(signs[k].tolist()): int(self.binned[k]) for k in np.flatnonzero(self.binned)}
 
     def to_table(self) -> str:
         """Text table: a header line, then 'outcome count' rows.
@@ -244,39 +264,33 @@ def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
     idx = np.searchsorted(cum, draws, side="right")
     np.minimum(idx, probs.size - 1, out=idx)
     binned = np.bincount(idx, minlength=probs.size)
-    counts = {
-        _outcome_tuple(i, state.n_qubits): int(c)
-        for i, c in enumerate(binned)
-        if c > 0
-    }
-    return ShotRecord(bases=bases, shots=shots, counts=counts, seed=seed)
+    return ShotRecord(bases=bases, shots=shots, binned=binned, seed=seed)
 
 
-def _check_record_site(record: ShotRecord, site: int) -> int:
-    n = len(record.bases)
-    if not 1 <= site <= n:
-        raise ValueError(f"site must be in [1, {n}], got {site}")
-    return site
+def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means of every site's outcomes and of every pair's products.
+
+    Returns ``(means, products)`` of shapes (n,) and (n, n): ``means[i]`` is
+    the mean +-1 outcome at site i+1 and ``products[i, j]`` the mean product
+    of the outcomes at sites i+1 and j+1 (1 on the diagonal). Both are exact
+    integer sums over the counts, divided by ``shots`` once.
+    """
+    signs = _signs(len(record.bases))
+    weighted = signs.T * record.binned
+    return weighted.sum(axis=1) / record.shots, (weighted @ signs) / record.shots
 
 
 def empirical_expectation(record: ShotRecord, site: int) -> float:
     """Sample mean of the +-1 outcomes at one site."""
-    _check_record_site(record, site)
-    total = sum(outcome[site - 1] * c for outcome, c in record.counts.items())
-    return total / record.shots
+    return float(empirical_moments(record)[0][_check_site(len(record.bases), site) - 1])
 
 
 def empirical_correlation(record: ShotRecord, site_a: int, site_b: int) -> float:
     """Sample covariance of the outcomes at two sites."""
-    _check_record_site(record, site_a)
-    _check_record_site(record, site_b)
-    mean_ab = (
-        sum(o[site_a - 1] * o[site_b - 1] * c for o, c in record.counts.items())
-        / record.shots
-    )
-    return mean_ab - empirical_expectation(record, site_a) * empirical_expectation(
-        record, site_b
-    )
+    a = _check_site(len(record.bases), site_a) - 1
+    b = _check_site(len(record.bases), site_b) - 1
+    means, products = empirical_moments(record)
+    return float(products[a, b] - means[a] * means[b])
 
 
 def mutual_information(record: ShotRecord, site_a: int, site_b: int) -> float:
@@ -285,21 +299,11 @@ def mutual_information(record: ShotRecord, site_a: int, site_b: int) -> float:
     Uses the empirical joint distribution of the record with the 0 ln 0 = 0
     convention.
     """
-    _check_record_site(record, site_a)
-    _check_record_site(record, site_b)
-    joint: dict[tuple[int, int], int] = {}
-    for outcome, c in record.counts.items():
-        key = (outcome[site_a - 1], outcome[site_b - 1])
-        joint[key] = joint.get(key, 0) + c
-    total = record.shots
-    p_a: dict[int, float] = {}
-    p_b: dict[int, float] = {}
-    for (xa, xb), c in joint.items():
-        p_a[xa] = p_a.get(xa, 0.0) + c / total
-        p_b[xb] = p_b.get(xb, 0.0) + c / total
-    mi = 0.0
-    for (xa, xb), c in joint.items():
-        p = c / total
-        if p > 0.0:
-            mi += p * math.log(p / (p_a[xa] * p_b[xb]))
-    return mi
+    a = _check_site(len(record.bases), site_a) - 1
+    b = _check_site(len(record.bases), site_b) - 1
+    bits = (1 - _signs(len(record.bases))) // 2
+    joint = np.bincount(2 * bits[:, a] + bits[:, b], weights=record.binned, minlength=4)
+    p = joint.reshape(2, 2) / record.shots
+    p_a, p_b = p.sum(axis=1), p.sum(axis=0)
+    seen = p > 0.0
+    return float(np.sum(p[seen] * np.log(p[seen] / np.outer(p_a, p_b)[seen])))

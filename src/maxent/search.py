@@ -197,7 +197,7 @@ def optimize(
     the run stops "stuck". Running out of max_iter is not an error either.
     A list passed as trace collects the cost of every accepted iterate.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")

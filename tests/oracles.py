@@ -108,3 +108,50 @@ def cost_sum(amps: np.ndarray, n: int) -> float:
         for site in range(1, n + 1)
         for axis in (1, 2, 3)
     )
+
+
+def outcome_tuple(index: int, n: int) -> tuple[int, ...]:
+    """Outcome index as +1/-1 per site; site 1 owns the most significant bit."""
+    return tuple(1 if (index >> (n - site)) & 1 == 0 else -1 for site in range(1, n + 1))
+
+
+def sampled_counts(probs: np.ndarray, shots: int, seed: int) -> dict:
+    """The Born sampler's draws for ``seed``, tallied into an outcome dict."""
+    draws = np.random.default_rng(seed).random(shots)
+    idx = np.minimum(np.searchsorted(np.cumsum(probs), draws, side="right"), probs.size - 1)
+    n = probs.size.bit_length() - 1
+    values, tallies = np.unique(idx, return_counts=True)
+    return {outcome_tuple(int(k), n): int(c) for k, c in zip(values, tallies)}
+
+
+def empirical_expectation(counts: dict, shots: int, site: int) -> float:
+    return sum(outcome[site - 1] * c for outcome, c in counts.items()) / shots
+
+
+def empirical_product_mean(counts: dict, shots: int, site_a: int, site_b: int) -> float:
+    return sum(o[site_a - 1] * o[site_b - 1] * c for o, c in counts.items()) / shots
+
+
+def empirical_covariance(counts: dict, shots: int, site_a: int, site_b: int) -> float:
+    return empirical_product_mean(counts, shots, site_a, site_b) - empirical_expectation(
+        counts, shots, site_a
+    ) * empirical_expectation(counts, shots, site_b)
+
+
+def mutual_information(counts: dict, shots: int, site_a: int, site_b: int) -> float:
+    """Plug-in mutual information from an outcome dict, summed term by term."""
+    joint: dict[tuple[int, int], int] = {}
+    for outcome, c in counts.items():
+        key = (outcome[site_a - 1], outcome[site_b - 1])
+        joint[key] = joint.get(key, 0) + c
+    p_a: dict[int, float] = {}
+    p_b: dict[int, float] = {}
+    for (xa, xb), c in joint.items():
+        p_a[xa] = p_a.get(xa, 0.0) + c / shots
+        p_b[xb] = p_b.get(xb, 0.0) + c / shots
+    mi = 0.0
+    for (xa, xb), c in joint.items():
+        p = c / shots
+        if p > 0.0:
+            mi += p * math.log(p / (p_a[xa] * p_b[xb]))
+    return mi

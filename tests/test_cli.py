@@ -93,6 +93,36 @@ def test_generate_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{path}", "--tol", "nan", "--json"),
+        ("analyze", "{path}", "--constraint-tol", "inf"),
+        ("search", "--tol", "nan", "--json"),
+        ("search", "--tol", "inf"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--constraint-tol=-inf"),
+        ("verify", "--perturb", "nan"),
+        ("generate", "epr", "--kind", "psi", "--phase", "inf"),
+        ("generate", "schmidt", "--b1", "nan", "--b2", "1"),
+        ("generate", "schmidt", "--b1", "1", "--b2=-inf"),
+        ("generate", "constrained", "--r", "nan"),
+        ("generate", "constrained", "--r", "0.5", "--alpha", "inf"),
+        ("generate", "constrained", "--r", "0.5", "--beta", "nan"),
+        ("generate", "constrained", "--r", "0.5", "--delta", "Infinity"),
+    ],
+)
+def test_non_finite_float_options_are_usage_errors(argv, capsys, tmp_path):
+    path = tmp_path / "bell.txt"
+    assert main(["generate", "epr", "--kind", "varphi", "--out", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=path) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
 def test_analyze_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("format: maxent-state/1\nn_qubits: 2\namplitudes:\n1 0\nbroken\n0 0\n0 0\n")

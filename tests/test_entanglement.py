@@ -13,7 +13,6 @@ from maxent.entanglement import (
     reduced_entropy,
     schmidt_coefficients,
     trace_invariant,
-    trace_invariant_raw,
 )
 from maxent.linalg import hermitian_eigenvalues_2x2
 from maxent.measurement import AXES, local_expectation, local_expectations
@@ -44,6 +43,14 @@ def test_reduced_density_examples():
     assert np.allclose(reduced_density(product, 2), [[0, 0], [0, 1]], atol=1e-15)
     bal = example_state("two_qubit_balanced")
     assert np.allclose(reduced_density(bal, 1), np.eye(2) / 2, atol=1e-12)
+
+
+def test_reduced_density_rejects_out_of_range_site():
+    for site in (0, 3, -1):
+        with pytest.raises(ValueError, match=r"site must be in \[1, 2\]"):
+            reduced_density(BELL, site)
+    with pytest.raises(ValueError, match=r"site must be in \[1, 3\]"):
+        reduced_entropy(ghz("+"), 4)
 
 
 def test_reduced_density_matches_oracle_on_random_states():
@@ -118,6 +125,14 @@ def test_criterion_check_examples():
         )
     with pytest.raises(ValueError):
         criterion_check(BELL, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -math.inf, -1e-9])
+def test_tolerances_must_be_positive_numbers(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        criterion_check(BELL, tol)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        constraint_check(as_coefficient_matrix(BELL), tol)
 
 
 def test_constraint_check_examples():
@@ -278,10 +293,6 @@ def test_trace_invariant():
     for seed in range(5):
         st = haar_random_state(2, seed)
         assert trace_invariant(st) == pytest.approx(1.0, abs=1e-12)
-    # internal hook: scaling bypasses normalization entirely
-    assert trace_invariant_raw(BELL.amplitudes * 0.5) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValueError):
-        trace_invariant_raw(np.eye(3))
     with pytest.raises(ValueError):
         trace_invariant(ghz("+"))
 

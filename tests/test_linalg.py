@@ -3,10 +3,8 @@ import pytest
 
 from maxent.linalg import (
     apply_single_site,
-    frobenius_norm,
     hermitian_eigenvalues_2x2,
     partial_trace_single_site,
-    tensor_product,
 )
 
 import oracles
@@ -15,19 +13,6 @@ import oracles
 def _random_state(rng, n):
     z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return z / np.linalg.norm(z)
-
-
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    assert np.allclose(tensor_product(a, b), np.kron(a, b), atol=0)
-
-
-def test_tensor_product_dimension_cap():
-    big = np.eye(32)
-    with pytest.raises(ValueError):
-        tensor_product(big, np.eye(16))
 
 
 def test_apply_single_site_matches_dense_operator():
@@ -66,6 +51,17 @@ def test_partial_trace_requires_normalized_input():
         partial_trace_single_site(psi, 2, 1)
 
 
+def test_partial_trace_rejects_raw_input_that_is_not_a_state():
+    with pytest.raises(ValueError, match="non-finite"):
+        partial_trace_single_site(np.array([np.nan, 1.0, 0, 0]), 2, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        partial_trace_single_site(np.array([1.0, 0, 0, np.inf * 1j]), 2, 2)
+    with pytest.raises(ValueError, match="length 3, expected 4"):
+        partial_trace_single_site(np.array([1.0, 0, 0]), 2, 1)
+    with pytest.raises(ValueError, match="site"):
+        partial_trace_single_site(np.array([1.0, 0, 0, 0]), 2, 3)
+
+
 def test_eigenvalues_match_lapack_on_random_hermitian():
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -100,7 +96,3 @@ def test_eigenvalues_reject_wrong_shape():
     with pytest.raises(ValueError):
         hermitian_eigenvalues_2x2(np.eye(3))
 
-
-def test_frobenius_norm_explicit_sum():
-    m = np.array([[3.0, 4.0j], [0.0, 0.0]])
-    assert frobenius_norm(m) == pytest.approx(5.0, abs=1e-15)

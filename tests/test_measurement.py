@@ -15,6 +15,7 @@ from maxent.measurement import (
     correlation_matrix,
     empirical_correlation,
     empirical_expectation,
+    empirical_moments,
     local_expectation,
     local_expectations,
     local_variance,
@@ -175,11 +176,13 @@ def test_sample_outcomes_deterministic_and_consistent():
     a = sample_outcomes(bell, (3, 3), 5000, seed=9)
     b = sample_outcomes(bell, (3, 3), 5000, seed=9)
     assert a.counts == b.counts
+    assert a == b and a.binned is not b.binned
     assert sum(a.counts.values()) == 5000
     # zero-probability outcomes never occur for the zz Bell measurement
     assert set(a.counts) <= {(1, 1), (-1, -1)}
     c = sample_outcomes(bell, (3, 3), 5000, seed=10)
     assert c.counts != a.counts  # different stream
+    assert c != a and a != a.counts
 
 
 def test_sample_outcomes_deterministic_state():
@@ -208,9 +211,14 @@ def test_sampling_frequencies_near_born():
 
 
 def test_shot_record_table_format():
-    rec = ShotRecord(bases=(3, 3), shots=10, counts={(-1, -1): 4, (1, 1): 6}, seed=3)
+    rec = ShotRecord(bases=(3, 3), shots=10, binned=[6, 0, 0, 4], seed=3)
+    assert rec.counts == {(1, 1): 6, (-1, -1): 4}
+    assert rec == ShotRecord(bases=(3, 3), shots=10, binned=np.array([6, 0, 0, 4]), seed=3)
+    assert rec != ShotRecord(bases=(3, 3), shots=10, binned=[4, 0, 0, 6], seed=3)
     assert rec.to_table() == "bases=zz seed=3 shots=10\n++ 6\n-- 4\n"
     assert outcome_symbols((1, -1, 1)) == "+-+"
+    with pytest.raises(ValueError):
+        ShotRecord(bases=(3, 3), shots=10, binned=[6, 4], seed=3)
 
 
 def test_axes_char_round_trip():
@@ -221,9 +229,7 @@ def test_axes_char_round_trip():
 
 
 def test_empirical_statistics():
-    rec = ShotRecord(
-        bases=(3, 3), shots=8, counts={(1, 1): 3, (1, -1): 1, (-1, 1): 1, (-1, -1): 3}, seed=0
-    )
+    rec = ShotRecord(bases=(3, 3), shots=8, binned=[3, 1, 1, 3], seed=0)
     assert empirical_expectation(rec, 1) == pytest.approx(0.0)
     assert empirical_expectation(rec, 2) == pytest.approx(0.0)
     # mean of products is (3 + 3 - 1 - 1)/8 = 0.5; means are zero
@@ -233,13 +239,11 @@ def test_empirical_statistics():
 
 
 def test_mutual_information_exact_tables():
-    perfectly_correlated = ShotRecord(
-        bases=(3, 3), shots=1000, counts={(1, 1): 500, (-1, -1): 500}, seed=0
-    )
+    perfectly_correlated = ShotRecord(bases=(3, 3), shots=1000, binned=[500, 0, 0, 500], seed=0)
     assert mutual_information(perfectly_correlated, 1, 2) == pytest.approx(
         LN2, abs=1e-12
     )
-    deterministic = ShotRecord(bases=(3, 3), shots=100, counts={(1, 1): 100}, seed=0)
+    deterministic = ShotRecord(bases=(3, 3), shots=100, binned=[100, 0, 0, 0], seed=0)
     assert mutual_information(deterministic, 1, 2) == 0.0
 
 
@@ -248,3 +252,52 @@ def test_mutual_information_product_state_is_small():
     shots = 10_000
     rec = sample_outcomes(plus, (1, 1), shots, seed=21)  # xx bases: coin flips
     assert mutual_information(rec, 1, 2) <= 3.0 / shots
+
+
+def _check_record_against_oracles(rec):
+    n = len(rec.bases)
+    counts, shots = rec.counts, rec.shots
+    means, products = empirical_moments(rec)
+    assert means.shape == (n,) and products.shape == (n, n)
+    for a in range(1, n + 1):
+        want = oracles.empirical_expectation(counts, shots, a)
+        assert means[a - 1] == want
+        assert empirical_expectation(rec, a) == want
+        for b in range(1, n + 1):
+            assert products[a - 1, b - 1] == oracles.empirical_product_mean(counts, shots, a, b)
+            assert empirical_correlation(rec, a, b) == oracles.empirical_covariance(
+                counts, shots, a, b
+            )
+            mi = mutual_information(rec, a, b)
+            assert abs(mi - oracles.mutual_information(counts, shots, a, b)) <= 1e-15
+
+
+def test_shot_kernel_matches_dict_oracles_on_sampled_records():
+    rng = np.random.default_rng(18)
+    for n in range(1, 9):
+        for k, shots in enumerate((100, 10_000, 1_000_000)):
+            # The basis state |+...+> gives zero-probability outcomes on every
+            # z site; 100 shots leave most of 2^n outcomes unseen for n >= 7.
+            st = from_amplitudes(np.eye(1 << n)[0]) if k == 1 else _random_state(rng, n)
+            bases = tuple(int(a) for a in rng.integers(1, 4, size=n))
+            seed = int(rng.integers(1 << 32))
+            rec = sample_outcomes(st, bases, shots, seed)
+            assert rec.counts == oracles.sampled_counts(
+                born_probabilities(st, bases), shots, seed
+            )
+            assert int(rec.binned.sum()) == shots
+            _check_record_against_oracles(rec)
+
+
+def test_shot_kernel_matches_dict_oracles_on_sparse_records():
+    rng = np.random.default_rng(19)
+    for n in range(1, 9):
+        binned = rng.integers(0, 1000, size=1 << n)
+        binned[rng.random(1 << n) < 0.6] = 0
+        binned[rng.integers(1 << n)] += 1
+        rec = ShotRecord(bases=(3,) * n, shots=int(binned.sum()), binned=binned, seed=0)
+        assert rec.counts == {
+            oracles.outcome_tuple(k, n): int(c) for k, c in enumerate(binned) if c > 0
+        }
+        assert not rec.binned.flags.writeable
+        _check_record_against_oracles(rec)

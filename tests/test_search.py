@@ -219,6 +219,14 @@ def test_optimize_validates_arguments():
         optimize(st, tol=1e-9, max_iter=-1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -math.inf, -1e-12])
+def test_optimize_and_multi_start_reject_nan_and_negative_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        optimize(haar_random_state(2, 1), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        multi_start(2, 2, tol, seed=1)
+
+
 def test_multi_start_contract():
     with pytest.raises(ValueError):
         multi_start(2, 0, 1e-12, seed=1)
