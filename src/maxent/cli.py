@@ -43,7 +43,7 @@ from .search import (
     optimize,
     random_constraint_params,
 )
-from .statefile import format_state, read_state_file
+from .statefile import format_state, read_state_file, write_state_file
 from .states import (
     EXAMPLE_STATE_NAMES,
     State,
@@ -220,12 +220,10 @@ def cmd_generate(args) -> int:
         label = args.name
     if args.label is not None:
         label = args.label
-    text = format_state(state, label)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_state_file(args.out, state, label)
     else:
-        _emit(text)
+        _emit(format_state(state, label))
     return 0
 
 
@@ -280,8 +278,7 @@ def cmd_search(args) -> int:
         lines.append(f"best entropies (nats): {entropies}")
         _emit("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_state(best.state, f"search n={args.n} seed={args.seed}"))
+        write_state_file(args.out, best.state, f"search n={args.n} seed={args.seed}")
     return 0 if best.converged else 1
 
 
@@ -301,91 +298,69 @@ def _perturbed(state: State, size: float, rng) -> State:
     return from_amplitudes(state.amplitudes + size * noise / np.linalg.norm(noise))
 
 
-def _verify_constructive(trials, rng, tol, _ctol, perturb) -> int:
-    fails = 0
-    for _ in range(trials):
-        state = generate_constrained(random_constraint_params(rng))
-        if perturb:
-            state = _perturbed(state, perturb, rng)
-        ok = criterion_check(state, tol).satisfied
-        ok = ok and all(
-            abs(reduced_entropy(state, s).entropy_nats - LN2) <= tol for s in (1, 2)
-        )
-        fails += 0 if ok else 1
-    return fails
+# Each property is one trial's predicate (k, rng, args) -> pass; k is the
+# 0-based trial index and rng the property's own stream.
 
 
-def _verify_converse(trials, rng, _tol, ctol, _perturb) -> int:
-    fails = 0
-    for _ in range(trials):
-        initial = haar_random_state(2, rng)
-        out = optimize(initial, tol=1e-18, seed=int(rng.integers(1 << 63)))
-        ok = out.converged and constraint_check(
-            as_coefficient_matrix(out.state), ctol
-        ).satisfied
-        fails += 0 if ok else 1
-    return fails
+def _verify_constructive(_k, rng, args) -> bool:
+    state = generate_constrained(random_constraint_params(rng))
+    if args.perturb:
+        state = _perturbed(state, args.perturb, rng)
+    return criterion_check(state, args.tol).satisfied and all(
+        abs(reduced_entropy(state, s).entropy_nats - LN2) <= args.tol for s in (1, 2)
+    )
 
 
-def _verify_lu_invariance(trials, rng, tol, _ctol, _perturb) -> int:
-    fails = 0
-    for k in range(trials):
-        n = 2 if k % 2 == 0 else 3
-        state = _criterion_state(n, rng) if k % 4 < 2 else haar_random_state(n, rng)
-        moved = apply_local_unitaries(
-            state, [haar_random_su2(rng) for _ in range(n)]
-        )
-        ok = criterion_check(state, tol).satisfied == criterion_check(moved, tol).satisfied
-        for s in range(1, n + 1):
-            before = reduced_entropy(state, s).entropy_nats
-            after = reduced_entropy(moved, s).entropy_nats
-            ok = ok and abs(before - after) <= 1e-9
-        if n == 2:
-            for u, v in zip(schmidt_coefficients(state), schmidt_coefficients(moved)):
-                ok = ok and abs(u - v) <= 1e-9
-            ok = ok and abs(trace_invariant(state) - trace_invariant(moved)) <= 1e-9
-        fails += 0 if ok else 1
-    return fails
+def _verify_converse(_k, rng, args) -> bool:
+    initial = haar_random_state(2, rng)
+    out = optimize(initial, tol=1e-18, seed=int(rng.integers(1 << 63)))
+    return out.converged and constraint_check(
+        as_coefficient_matrix(out.state), args.constraint_tol
+    ).satisfied
 
 
-def _verify_commutator(trials, rng, _tol, _ctol, _perturb) -> int:
-    fails = 0
-    for k in range(trials):
-        n = 2 if k % 2 == 0 else 3
-        state = _criterion_state(n, rng)
-        ok = all(commutator_defect(state, s) <= 1e-9 for s in range(1, n + 1))
+def _verify_lu_invariance(k, rng, args) -> bool:
+    n = 2 if k % 2 == 0 else 3
+    state = _criterion_state(n, rng) if k % 4 < 2 else haar_random_state(n, rng)
+    moved = apply_local_unitaries(state, [haar_random_su2(rng) for _ in range(n)])
+    same_verdict = (
+        criterion_check(state, args.tol).satisfied == criterion_check(moved, args.tol).satisfied
+    )
+    pairs = [
+        (reduced_entropy(state, s).entropy_nats, reduced_entropy(moved, s).entropy_nats)
+        for s in range(1, n + 1)
+    ]
+    if n == 2:
+        pairs += zip(schmidt_coefficients(state), schmidt_coefficients(moved))
+        pairs.append((trace_invariant(state), trace_invariant(moved)))
+    return same_verdict and all(abs(u - v) <= 1e-9 for u, v in pairs)
+
+
+def _verify_commutator(k, rng, _args) -> bool:
+    n = 2 if k % 2 == 0 else 3
+    state = _criterion_state(n, rng)
+    commutes = all(commutator_defect(state, s) <= 1e-9 for s in range(1, n + 1))
+    # draw the biased state even when the first half failed, so the stream
+    # position of every later trial does not depend on verdicts
+    noisy = haar_random_state(n, rng)
+    for _ in range(100):
+        if criterion_check(noisy, 0.1).max_abs_expectation >= 0.1:
+            break
         noisy = haar_random_state(n, rng)
-        for _ in range(100):
-            if criterion_check(noisy, 0.1).max_abs_expectation >= 0.1:
-                break
-            noisy = haar_random_state(n, rng)
-        ok = ok and max(
-            commutator_defect(noisy, s) for s in range(1, n + 1)
-        ) >= 1e-3
-        fails += 0 if ok else 1
-    return fails
+    return commutes and max(commutator_defect(noisy, s) for s in range(1, n + 1)) >= 1e-3
 
 
-def _verify_entropy_coupling(trials, rng, _tol, _ctol, _perturb) -> int:
-    fails = 0
-    for _ in range(trials):
-        state = haar_random_state(2, rng)
-        ok = True
-        for s, b in enumerate(local_expectations(state), start=1):
-            ok = ok and LN2 - reduced_entropy(state, s).entropy_nats >= b @ b / 2 - 1e-12
-        fails += 0 if ok else 1
-    return fails
+def _verify_entropy_coupling(_k, rng, _args) -> bool:
+    state = haar_random_state(2, rng)
+    return all(
+        LN2 - reduced_entropy(state, s).entropy_nats >= b @ b / 2 - 1e-12
+        for s, b in enumerate(local_expectations(state), start=1)
+    )
 
 
-def _verify_orthogonality(trials, rng, _tol, _ctol, _perturb) -> int:
-    fails = 0
-    eye = np.eye(3)
-    for _ in range(trials):
-        state = generate_constrained(random_constraint_params(rng))
-        t = correlation_matrix(state, 1, 2).t
-        ok = np.linalg.norm(t @ t.T - eye) <= 1e-6
-        fails += 0 if ok else 1
-    return fails
+def _verify_orthogonality(_k, rng, _args) -> bool:
+    t = correlation_matrix(generate_constrained(random_constraint_params(rng)), 1, 2).t
+    return np.linalg.norm(t @ t.T - np.eye(3)) <= 1e-6
 
 
 _VERIFY_PROPERTIES = (
@@ -402,12 +377,11 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rows = []
-    all_pass = True
     for index, (name, prop) in enumerate(_VERIFY_PROPERTIES):
         rng = np.random.default_rng([index, args.seed])
-        fails = prop(args.trials, rng, args.tol, args.constraint_tol, args.perturb)
-        rows.append({"property": name, "passes": args.trials - fails, "trials": args.trials})
-        all_pass = all_pass and fails == 0
+        passes = sum(bool(prop(k, rng, args)) for k in range(args.trials))
+        rows.append({"property": name, "passes": passes, "trials": args.trials})
+    all_pass = all(row["passes"] == args.trials for row in rows)
     if args.json:
         _emit(
             json.dumps(
@@ -430,14 +404,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
-    bases = axes_from_chars(args.bases)
-    if len(bases) != state.n_qubits:
-        raise ValueError(
-            f"--bases length {len(bases)} does not match {state.n_qubits} qubits"
-        )
-    if args.shots < 1:
-        raise ValueError(f"--shots must be >= 1, got {args.shots}")
-    record = sample_outcomes(state, bases, args.shots, args.seed)
+    record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
     means, products = (m.tolist() for m in empirical_moments(record))
     expectations = [
         {"site": i + 1, "value": m, "std_err": math.sqrt(max(1.0 - m * m, 0.0) / record.shots)}
@@ -505,6 +472,7 @@ def _finite_float(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree; built once, at import, into ``_PARSER``."""
     parser = argparse.ArgumentParser(
         prog="maxent",
         description="Detect, construct, and sample maximally entangled qubit states.",
@@ -586,9 +554,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # StateFileError is a ValueError

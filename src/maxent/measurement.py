@@ -123,6 +123,12 @@ class CorrelationMatrix:
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
+    def __eq__(self, other) -> bool:
+        """Equal site pairs and equal whole matrices."""
+        if not isinstance(other, CorrelationMatrix):
+            return NotImplemented
+        return self.site_pair == other.site_pair and np.array_equal(self.t, other.t)
+
 
 # Row 4p + q is (s_p (x) s_q)^T flattened, for s_0..s_3 = I, x, y, z, so its
 # product with a flattened 4x4 density rho is Tr(rho s_p (x) s_q).

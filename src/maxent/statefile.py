@@ -128,8 +128,10 @@ def parse_state(text: str) -> tuple[State, str | None]:
 
 
 def write_state_file(path, state: State, label: str | None = None) -> None:
+    """Write a state document; a rejected label leaves ``path`` untouched."""
+    text = format_state(state, label)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_state(state, label))
+        fh.write(text)
 
 
 def read_state_file(path) -> tuple[State, str | None]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -279,6 +280,15 @@ def test_sample_bases_mismatch_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_sample_input_errors_name_the_sampler_check(capsys, tmp_path):
+    path = str(tmp_path / "bell.txt")
+    run(capsys, "generate", "epr", "--kind", "varphi", "--out", path)
+    code, out, err = run(capsys, "sample", path, "--bases", "zzz", "--shots", "0")
+    assert (code, out, err) == (2, "", "error: got 3 measurement axes for 2 qubits\n")
+    code, out, err = run(capsys, "sample", path, "--bases", "zz", "--shots", "0")
+    assert (code, out, err) == (2, "", "error: shots must be >= 1, got 0\n")
+
+
 def test_sample_deterministic_output(capsys, tmp_path):
     path = str(tmp_path / "bell.txt")
     run(capsys, "generate", "epr", "--kind", "psi", "--phase", "0.5", "--out", path)
@@ -320,3 +330,23 @@ def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+def test_main_builds_no_parser(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    path = str(tmp_path / "bell.txt")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(capsys, "generate", "epr", "--kind", "varphi", "--out", path)[0] == 0
+    code, out, _ = run(capsys, "analyze", path, "--tol", "1e-3", "--json")
+    assert code == 0 and json.loads(out)["criterion"]["tolerance"] == 1e-3
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    assert code == 0 and '"tolerance": 1e-09' in out
+    assert json.loads(out)["criterion"]["tolerance"] == 1e-9
+    assert run(capsys, "search", "--n", "2", "--starts", "1", "--seed", "1")[0] == 0
+    assert run(capsys, "sample", path, "--bases", "zz", "--shots", "10")[0] == 0
+    assert run(capsys, "verify", "--trials", "1")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2

@@ -6,6 +6,7 @@ import pytest
 from maxent.linalg import partial_trace_single_site
 from maxent.measurement import (
     AXES,
+    CorrelationMatrix,
     ShotRecord,
     axes_from_chars,
     bloch_vector,
@@ -132,6 +133,16 @@ def test_correlation_matrix_examples():
 
     with pytest.raises(ValueError):
         correlation_matrix(bell, 1, 1)
+
+
+def test_correlation_matrix_equality():
+    cm = correlation_matrix(ghz("+"), 1, 2)
+    assert cm == correlation_matrix(ghz("+"), 1, 2)
+    assert not cm != correlation_matrix(ghz("+"), 1, 2)
+    assert cm != CorrelationMatrix(t=cm.t, site_pair=(1, 3))
+    assert cm != CorrelationMatrix(t=cm.t + np.eye(3) * 1e-15, site_pair=(1, 2))
+    assert cm != "t"
+    assert cm.__eq__(cm.t) is NotImplemented
 
 
 def test_correlation_matrix_matches_oracle_on_all_ordered_pairs():

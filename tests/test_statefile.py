@@ -118,6 +118,20 @@ def test_file_io(tmp_path):
         read_state_file(tmp_path / "missing.txt")
 
 
+def test_bad_label_leaves_target_untouched(tmp_path):
+    path = tmp_path / "state.txt"
+    write_state_file(path, ghz("+"), "ghz")
+    before = path.read_bytes()
+    for label in (" bad", "two\nlines", ""):
+        with pytest.raises(ValueError):
+            write_state_file(path, ghz("+"), label)
+        assert path.read_bytes() == before
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ValueError):
+        write_state_file(missing, ghz("+"), " bad")
+    assert not missing.exists()
+
+
 def test_written_document_is_stable():
     st = from_amplitudes([1.0, 0, 0, 1.0])
     text = format_state(st)
