@@ -30,7 +30,7 @@ from .measurement import (
     correlation_matrix,
     empirical_moments,
     local_expectations,
-    mutual_information,
+    mutual_information_matrix,
     sample_outcomes,
 )
 from .search import (
@@ -406,6 +406,7 @@ def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
     record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
     means, products = (m.tolist() for m in empirical_moments(record))
+    nats_table = mutual_information_matrix(record).tolist()
     expectations = [
         {"site": i + 1, "value": m, "std_err": math.sqrt(max(1.0 - m * m, 0.0) / record.shots)}
         for i, m in enumerate(means)
@@ -422,7 +423,7 @@ def cmd_sample(args) -> int:
                     "std_err": math.sqrt(max(1.0 - prod * prod, 0.0) / record.shots),
                 }
             )
-            nats = mutual_information(record, i + 1, j + 1)
+            nats = nats_table[i][j]
             infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
     if args.json:
         doc = {

@@ -55,9 +55,12 @@ def apply_single_site(amplitudes, n_qubits: int, site: int, op) -> np.ndarray:
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (2, 2):
         raise ValueError("single-site operator must be 2x2")
-    left = 1 << (site - 1)
-    right = 1 << (n_qubits - site)
-    cube = amps.reshape(left, 2, right)
+    return _apply_site(amps, site, op)
+
+
+def _apply_site(amps: np.ndarray, site: int, op: np.ndarray) -> np.ndarray:
+    """:func:`apply_single_site` without its checks, for valid inputs."""
+    cube = amps.reshape(1 << (site - 1), 2, -1)
     return np.einsum("st,atb->asb", op, cube).reshape(-1)
 
 

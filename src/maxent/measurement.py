@@ -11,11 +11,12 @@ pair's reduced density. The single-site density-matrix route lives in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import apply_single_site
+from .linalg import _apply_site
 from .states import State
 
 AXES = (1, 2, 3)
@@ -37,6 +38,9 @@ _EIGENBASIS = {
     2: np.array([[_INV_SQRT2, _INV_SQRT2], [1.0j * _INV_SQRT2, -1.0j * _INV_SQRT2]], dtype=np.complex128),
     3: np.eye(2, dtype=np.complex128),
 }
+
+# numpy draws multinomial counts as int64.
+_MAX_SHOTS = 2**63 - 1
 
 
 def _check_axis(axis: int) -> int:
@@ -167,9 +171,7 @@ def born_probabilities(state: State, bases) -> np.ndarray:
     bases = _check_bases(state, bases)
     rotated = state.amplitudes
     for site, axis in enumerate(bases, start=1):
-        rotated = apply_single_site(
-            rotated, state.n_qubits, site, _EIGENBASIS[axis].conj().T
-        )
+        rotated = _apply_site(rotated, site, _EIGENBASIS[axis].conj().T)
     return np.abs(rotated) ** 2
 
 
@@ -201,10 +203,9 @@ def outcome_symbols(outcome) -> str:
     return "".join("+" if v > 0 else "-" for v in outcome)
 
 
-def _signs(n_qubits: int) -> np.ndarray:
-    """Outcome table: entry [k, i] is site i+1's +-1 outcome in outcome k."""
-    bits = np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)
-    return 1 - 2 * (bits & 1)
+def _bits(n_qubits: int) -> np.ndarray:
+    """Outcome table: entry [k, i] is 1 where site i+1 reads -1 in outcome k, else 0."""
+    return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ class ShotRecord:
 
     ``binned[k]`` counts outcome k, whose bits (most significant site first)
     encode +1 as 0 and -1 as 1, the order of :func:`born_probabilities`.
-    The counts always sum to ``shots``. ``seed`` pins the PCG64 stream that
-    produced the record, so identical inputs reproduce it exactly.
+    The counts always sum to ``shots``. ``seed`` is the integer that seeded
+    the PCG64 stream of the multinomial draw, so identical inputs reproduce
+    the record exactly.
     """
 
     bases: tuple[int, ...]
@@ -239,7 +241,7 @@ class ShotRecord:
     @property
     def counts(self) -> dict:
         """Outcome tuples in {+1, -1}^n mapped to their nonzero counts."""
-        signs = _signs(len(self.bases))
+        signs = 1 - 2 * _bits(len(self.bases))
         return {tuple(signs[k].tolist()): int(self.binned[k]) for k in np.flatnonzero(self.binned)}
 
     def to_table(self) -> str:
@@ -253,24 +255,40 @@ class ShotRecord:
 
 
 def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
-    """Draw i.i.d. outcome tuples from the exact Born distribution.
+    """Count ``shots`` i.i.d. outcome tuples from the exact Born distribution.
 
-    The random stream is numpy's PCG64 seeded with ``seed``; it consumes one
-    uniform draw per shot, so a given (state, bases, shots, seed) always
-    yields the same record. Outcomes with exactly zero probability are never
-    produced.
+    The counts come from one multinomial draw over the outcomes of nonzero
+    probability, which has the distribution of ``shots`` independent
+    categorical draws at a cost independent of ``shots``. The random stream
+    is numpy's PCG64 seeded with the integer ``seed`` (anything else raises
+    ``TypeError``), so a given (state, bases, shots, seed) always yields the
+    same record. Outcomes with exactly zero probability are never produced.
     """
     bases = _check_bases(state, bases)
+    seed = operator.index(seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
     probs = born_probabilities(state, bases)
-    cum = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    idx = np.searchsorted(cum, draws, side="right")
-    np.minimum(idx, probs.size - 1, out=idx)
-    binned = np.bincount(idx, minlength=probs.size)
+    support = np.flatnonzero(probs)
+    # Renormalizing over the support keeps rounding from tripping numpy's
+    # check that the probabilities sum to at most 1.
+    weights = probs[support] / probs[support].sum()
+    binned = np.zeros(probs.size, dtype=np.int64)
+    binned[support] = np.random.default_rng(seed).multinomial(shots, weights)
     return ShotRecord(bases=bases, shots=shots, binned=binned, seed=seed)
+
+
+def _joint_minus_counts(record: ShotRecord) -> np.ndarray:
+    """Entry [i, j] counts the shots reading -1 at both sites i+1 and j+1.
+
+    The diagonal counts each site's -1 shots. Every count, and every
+    difference the estimators form from them, lies in [-shots, shots], so
+    int64 holds them exactly for any valid ``shots``.
+    """
+    bits = _bits(len(record.bases))
+    return (bits.T * record.binned) @ bits
 
 
 def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -281,9 +299,12 @@ def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
     of the outcomes at sites i+1 and j+1 (1 on the diagonal). Both are exact
     integer sums over the counts, divided by ``shots`` once.
     """
-    signs = _signs(len(record.bases))
-    weighted = signs.T * record.binned
-    return weighted.sum(axis=1) / record.shots, (weighted @ signs) / record.shots
+    both = _joint_minus_counts(record)
+    minus = np.diagonal(both)
+    disagree = (minus[:, None] - both) + (minus - both)
+    # agree - disagree: each term lies in [0, shots].
+    products = (record.shots - disagree) - disagree
+    return ((record.shots - minus) - minus) / record.shots, products / record.shots
 
 
 def empirical_expectation(record: ShotRecord, site: int) -> float:
@@ -299,17 +320,34 @@ def empirical_correlation(record: ShotRecord, site_a: int, site_b: int) -> float
     return float(products[a, b] - means[a] * means[b])
 
 
+def mutual_information_matrix(record: ShotRecord) -> np.ndarray:
+    """Plug-in Shannon mutual information of every site pair, in nats.
+
+    Entry [i, j] is the mutual information of the outcomes at sites i+1 and
+    j+1; the diagonal holds each site's outcome entropy. Uses the empirical
+    joint distribution of the record with the 0 ln 0 = 0 convention. Each
+    pair's four joint counts are exact integers from one contraction.
+    """
+    both = _joint_minus_counts(record)
+    minus = np.diagonal(both)
+    plus = record.shots - minus
+    a_only = minus[:, None] - both
+    b_only = minus - both
+    # joint[x, y, i, j]: shots with outcome x at site i+1 and y at site j+1,
+    # index 0 for +1 and 1 for -1.
+    joint = np.array([[plus[:, None] - b_only, b_only], [a_only, both]])
+    p = joint / record.shots
+    marginal = np.array([plus, minus]) / record.shots
+    independent = marginal[:, None, :, None] * marginal[None, :, None, :]
+    ratio = np.divide(p, independent, out=np.ones_like(p), where=p > 0.0)
+    return np.sum(p * np.log(ratio), axis=(0, 1))
+
+
 def mutual_information(record: ShotRecord, site_a: int, site_b: int) -> float:
     """Plug-in Shannon mutual information of two sites' outcomes, in nats.
 
-    Uses the empirical joint distribution of the record with the 0 ln 0 = 0
-    convention.
+    One entry of :func:`mutual_information_matrix`.
     """
     a = _check_site(len(record.bases), site_a) - 1
     b = _check_site(len(record.bases), site_b) - 1
-    bits = (1 - _signs(len(record.bases))) // 2
-    joint = np.bincount(2 * bits[:, a] + bits[:, b], weights=record.binned, minlength=4)
-    p = joint.reshape(2, 2) / record.shots
-    p_a, p_b = p.sum(axis=1), p.sum(axis=0)
-    seen = p > 0.0
-    return float(np.sum(p[seen] * np.log(p[seen] / np.outer(p_a, p_b)[seen])))
+    return float(mutual_information_matrix(record)[a, b])

@@ -124,6 +124,32 @@ def sampled_counts(probs: np.ndarray, shots: int, seed: int) -> dict:
     return {outcome_tuple(int(k), n): int(c) for k, c in zip(values, tallies)}
 
 
+def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> dict:
+    """Multinomial counts for ``seed`` by the conditional-binomial chain.
+
+    Walks the outcomes of nonzero probability in index order: each takes a
+    binomial share of the shots still left, at its probability over the
+    probability still left, and the last takes the remainder. Tallied into
+    an outcome dict.
+    """
+    n = probs.size.bit_length() - 1
+    support = np.flatnonzero(probs)
+    weights = probs[support] / probs[support].sum()
+    rng = np.random.default_rng(seed)
+    counts = {}
+    left, rest = shots, 1.0
+    for k, p in zip(support[:-1], weights[:-1]):
+        c = int(rng.binomial(left, p / rest))
+        if c:
+            counts[outcome_tuple(int(k), n)] = c
+        left -= c
+        if left == 0:
+            return counts
+        rest -= p
+    counts[outcome_tuple(int(support[-1]), n)] = left
+    return counts
+
+
 def empirical_expectation(counts: dict, shots: int, site: int) -> float:
     return sum(outcome[site - 1] * c for outcome, c in counts.items()) / shots
 

@@ -289,6 +289,18 @@ def test_sample_input_errors_name_the_sampler_check(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: shots must be >= 1, got 0\n")
 
 
+def test_sample_shot_counts_beyond_memory_and_beyond_int64(capsys, tmp_path):
+    path = str(tmp_path / "ghz.txt")
+    run(capsys, "generate", "ghz", "--out", path)
+    code, out, _ = run(capsys, "sample", path, "--bases", "zzz", "--shots", "4000000000", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sum(doc["counts"].values()) == 4_000_000_000 and set(doc["counts"]) == {"+++", "---"}
+    code, out, err = run(capsys, "sample", path, "--bases", "zzz", "--shots", str(10**20))
+    assert (code, out) == (2, "")
+    assert err == f"error: shots must be <= 2**63 - 1, got {10**20}\n"
+
+
 def test_sample_deterministic_output(capsys, tmp_path):
     path = str(tmp_path / "bell.txt")
     run(capsys, "generate", "epr", "--kind", "psi", "--phase", "0.5", "--out", path)

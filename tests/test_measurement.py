@@ -21,6 +21,7 @@ from maxent.measurement import (
     local_expectations,
     local_variance,
     mutual_information,
+    mutual_information_matrix,
     outcome_symbols,
     pauli,
     sample_outcomes,
@@ -202,6 +203,33 @@ def test_sample_outcomes_deterministic_state():
     assert rec.counts == {(1, 1): 1000}
     with pytest.raises(ValueError):
         sample_outcomes(plus, (3, 3), 0, seed=0)
+    with pytest.raises(ValueError):
+        sample_outcomes(plus, (3, 3), 2**63, seed=0)
+
+
+def test_sample_outcomes_takes_an_integer_seed_only():
+    bell = epr_family("varphi", 0.0)
+    for seed in (np.random.default_rng(1), 1.0):
+        with pytest.raises(TypeError):
+            sample_outcomes(bell, (3, 3), 10, seed)
+    rec = sample_outcomes(bell, (3, 3), 10, np.int64(1))
+    assert rec == sample_outcomes(bell, (3, 3), 10, 1)
+    assert type(rec.seed) is int and rec.to_table().startswith("bases=zz seed=1 ")
+
+
+def test_sample_outcomes_never_draws_a_zero_probability_last_outcome():
+    # The last outcome, --, has probability exactly 0 in zz.
+    st = from_amplitudes([1.0, 1.0, 1.0, 0.0])
+    assert born_probabilities(st, (3, 3))[-1] == 0.0
+    for seed in range(300):
+        rec = sample_outcomes(st, (3, 3), 100_000, seed)
+        assert rec.binned[-1] == 0 and int(rec.binned.sum()) == 100_000
+
+
+def test_sample_outcomes_at_the_largest_shot_count():
+    rec = sample_outcomes(ghz("+"), (3, 3, 3), 2**63 - 1, seed=2)
+    assert set(rec.counts) == {(1, 1, 1), (-1, -1, -1)}
+    assert sum(rec.counts.values()) == 2**63 - 1
 
 
 def test_sample_outcomes_ghz_only_aligned():
@@ -265,11 +293,26 @@ def test_mutual_information_product_state_is_small():
     assert mutual_information(rec, 1, 2) <= 3.0 / shots
 
 
+def test_estimators_hold_counts_near_the_int64_limit():
+    # The +- cell holds 2**62 shots, so four times it, the form
+    # shots + S_a + S_b + S_ab of a joint count in +-1 sums, leaves int64.
+    half = 2**62
+    rec = ShotRecord(bases=(3, 3), shots=2 * half - 1, binned=[1, half, half - 2, 0], seed=0)
+    means, products = empirical_moments(rec)
+    assert np.array_equal(means, [3 / rec.shots, -1 / rec.shots])
+    assert np.array_equal(products, [[1.0, (3 - 2 * half) / rec.shots], [(3 - 2 * half) / rec.shots, 1.0]])
+    counts = {(1, 1): 1, (1, -1): half, (-1, 1): half - 2}
+    for a, b in ((1, 2), (1, 1), (2, 2)):
+        want = oracles.mutual_information(counts, rec.shots, a, b)
+        assert mutual_information(rec, a, b) == pytest.approx(want, abs=1e-15)
+
+
 def _check_record_against_oracles(rec):
     n = len(rec.bases)
     counts, shots = rec.counts, rec.shots
     means, products = empirical_moments(rec)
     assert means.shape == (n,) and products.shape == (n, n)
+    assert mutual_information_matrix(rec).shape == (n, n)
     for a in range(1, n + 1):
         want = oracles.empirical_expectation(counts, shots, a)
         assert means[a - 1] == want
@@ -293,7 +336,7 @@ def test_shot_kernel_matches_dict_oracles_on_sampled_records():
             bases = tuple(int(a) for a in rng.integers(1, 4, size=n))
             seed = int(rng.integers(1 << 32))
             rec = sample_outcomes(st, bases, shots, seed)
-            assert rec.counts == oracles.sampled_counts(
+            assert rec.counts == oracles.multinomial_counts(
                 born_probabilities(st, bases), shots, seed
             )
             assert int(rec.binned.sum()) == shots
