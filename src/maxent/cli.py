@@ -27,6 +27,7 @@ from .entanglement import (
 )
 from .measurement import (
     axes_from_chars,
+    correlation_matrices,
     correlation_matrix,
     empirical_moments,
     local_expectations,
@@ -86,11 +87,12 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
                 "commutator_defect": commutator_defect(state, site),
             }
         )
-    pairs = []
-    for i in range(1, state.n_qubits + 1):
-        for j in range(i + 1, state.n_qubits + 1):
-            cm = correlation_matrix(state, i, j)
-            pairs.append({"sites": [i, j], "t": cm.t.tolist()})
+    t = correlation_matrices(state).tolist()
+    pairs = [
+        {"sites": [i + 1, j + 1], "t": t[i][j]}
+        for i in range(state.n_qubits)
+        for j in range(i + 1, state.n_qubits)
+    ]
     crit = criterion_check(state, tol)
     doc = {
         "n_qubits": state.n_qubits,
@@ -401,6 +403,9 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- sample
 
+# Outcome index bits, most significant site first, to +1/-1 symbols.
+_OUTCOME_SIGNS = str.maketrans("01", "+-")
+
 
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
@@ -426,11 +431,15 @@ def cmd_sample(args) -> int:
             nats = nats_table[i][j]
             infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
     if args.json:
+        counts = record.binned.tolist()
         doc = {
             "bases": args.bases,
             "shots": record.shots,
             "seed": record.seed,
-            "counts": {"".join("+-"[v < 0] for v in o): c for o, c in record.counts.items()},
+            "counts": {
+                format(k, f"0{state.n_qubits}b").translate(_OUTCOME_SIGNS): counts[k]
+                for k in np.flatnonzero(record.binned).tolist()
+            },
             "expectations": expectations,
             "correlations": correlations,
             "mutual_information": infos,

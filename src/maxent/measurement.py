@@ -1,15 +1,18 @@
 """Local Pauli observables, correlations, and a Born-rule shot sampler.
 
 Axes are numbered 1, 2, 3 for the x, y, z Pauli operators in the |+>, |->
-basis. All 3n local expectations come from one kernel,
-:func:`local_expectations` (which :mod:`maxent.search` runs on unnormalized
-vectors too), and each pair's correlations from one contraction of the
-pair's reduced density. The single-site density-matrix route lives in
-:mod:`maxent.entanglement` and the two are cross-checked in the test suite.
+basis. One kernel gathers V, the 3n Pauli images sigma_a^i psi, from cached
+index and phase tables. Every local expectation (:func:`local_expectations`,
+which :mod:`maxent.search` also runs on unnormalized vectors, along with its
+Jacobian) is a projection of V onto psi, and every pair's correlations
+(:func:`correlation_matrices`) come from one Gram product of V. The
+single-site density-matrix route lives in :mod:`maxent.entanglement` and the
+two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -60,6 +63,47 @@ def pauli(axis: int) -> np.ndarray:
     return _SIGMA[_check_axis(axis)].copy()
 
 
+@functools.cache
+def _image_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables (perm, phase), each (3n, 2^n), of the Pauli images.
+
+    (sigma_a^i psi)[k] = phase[r, k] psi[perm[r, k]] with row
+    r = 3(i - 1) + a - 1. Sigma x and y flip site i's bit (y with phase
+    -i where the bit is 0, +i where it is 1); sigma z keeps the index and
+    negates where the bit is 1. The tables are read-only: one pair per n is
+    shared by every caller.
+    """
+    k = np.arange(1 << n_qubits)
+    bit = 1 << np.arange(n_qubits - 1, -1, -1)[:, None]
+    flipped = k ^ bit
+    down = (k & bit) != 0
+    perm = np.stack([flipped, flipped, np.broadcast_to(k, flipped.shape)], axis=1)
+    phase = np.stack(
+        [np.ones(down.shape), np.where(down, 1j, -1j), np.where(down, -1.0, 1.0)], axis=1
+    )
+    tables = perm.reshape(3 * n_qubits, -1), phase.reshape(3 * n_qubits, -1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _pauli_images(psi: np.ndarray, n_qubits: int) -> np.ndarray:
+    """V, the 3n Pauli images of a vector, by one gather.
+
+    Row 3(site - 1) + axis - 1 is psi with sigma_axis applied at site.
+    """
+    perm, phase = _image_tables(n_qubits)
+    return phase * psi[perm]
+
+
+def _image_expectations(images: np.ndarray, psi: np.ndarray, norm_sq: float) -> np.ndarray:
+    """Re<psi|V_r>/<psi|psi> for every row r of the images, as a flat (3n,) array.
+
+    Real products of the float64 views: Re(a conj(b)) = Re a Re b + Im a Im b.
+    """
+    return images.view(np.float64) @ psi.view(np.float64) / norm_sq
+
+
 def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     """All 3n local Pauli expectations of an unnormalized vector.
 
@@ -68,16 +112,7 @@ def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     check relies on).
     """
     nn = np.vdot(psi, psi).real
-    out = np.empty((n_qubits, 3))
-    for site in range(n_qubits):
-        a = psi.reshape(1 << site, 2, -1)
-        a0, a1 = a[:, 0, :], a[:, 1, :]
-        cross = np.vdot(a0, a1)
-        out[site, 0] = 2.0 * cross.real
-        out[site, 1] = 2.0 * cross.imag
-        out[site, 2] = np.vdot(a0, a0).real - np.vdot(a1, a1).real
-    out /= nn
-    return out
+    return _image_expectations(_pauli_images(psi, n_qubits), psi, nn).reshape(n_qubits, 3)
 
 
 def local_expectations(state: State) -> np.ndarray:
@@ -134,17 +169,30 @@ class CorrelationMatrix:
         return self.site_pair == other.site_pair and np.array_equal(self.t, other.t)
 
 
-# Row 4p + q is (s_p (x) s_q)^T flattened, for s_0..s_3 = I, x, y, z, so its
-# product with a flattened 4x4 density rho is Tr(rho s_p (x) s_q).
-_PAULI_BASIS = (np.eye(2), *_SIGMA.values())
-_PAIR_PAULIS = np.array([np.kron(p, q).T.ravel() for p in _PAULI_BASIS for q in _PAULI_BASIS])
+def correlation_matrices(state: State) -> np.ndarray:
+    """Every site pair's Pauli covariances as an (n, n, 3, 3) array.
+
+    Entry [i - 1, j - 1, a - 1, b - 1] is <s_a^i s_b^j> - <s_a^i><s_b^j>.
+    The Paulis are Hermitian, so <s_a^i s_b^j> = Re<V_ia|V_jb> for the Pauli
+    images V, and one Gram product gives every pair. Entry [j, i] is the
+    transpose of [i, j]; the diagonal block [i, i] is the site's own
+    symmetrized covariance I - e_i e_i^T, since Re<V_ia|V_ib> = delta_ab.
+    """
+    psi, n = state.amplitudes, state.n_qubits
+    nn = np.vdot(psi, psi).real
+    images = _pauli_images(psi, n)
+    e = _image_expectations(images, psi, nn)
+    real = images.view(np.float64)
+    # numpy evaluates a @ a.T as one symmetric rank-k update, so t is exactly symmetric.
+    t = real @ real.T / nn - np.outer(e, e)
+    return t.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
 
 
 def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMatrix:
     """All nine Pauli covariances between two distinct sites.
 
-    The moments M[p, q] = <s_p (x) s_q> (s_0 = I) of the pair's reduced
-    density hold the joint terms and both marginals: T = M[i, j] - M[i, 0] M[0, j].
+    One entry of :func:`correlation_matrices`: t[i - 1, j - 1] is the
+    covariance of axis i at site_a and axis j at site_b.
     """
     if state.n_qubits < 2:
         raise ValueError("correlation matrix needs at least 2 qubits")
@@ -152,13 +200,8 @@ def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMat
         raise ValueError("correlation matrix requires two distinct sites")
     _check_site(state.n_qubits, site_a)
     _check_site(state.n_qubits, site_b)
-    lo, hi = sorted((site_a, site_b))
-    cube = state.amplitudes.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
-    pair = cube.transpose(1, 3, 0, 2, 4).reshape(4, -1)
-    rho = pair @ pair.conj().T
-    m = (_PAIR_PAULIS @ rho.ravel()).real.reshape(4, 4)
-    t = m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:])
-    return CorrelationMatrix(t=t if site_a < site_b else t.T, site_pair=(site_a, site_b))
+    t = correlation_matrices(state)[site_a - 1, site_b - 1]
+    return CorrelationMatrix(t=t, site_pair=(site_a, site_b))
 
 
 def born_probabilities(state: State, bases) -> np.ndarray:

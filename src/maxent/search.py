@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_QUBITS
-from .measurement import _local_expectations_raw
+from .measurement import _image_expectations, _local_expectations_raw, _pauli_images
 from .states import State
 
 _HALF = 0.5
@@ -121,16 +121,11 @@ def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.
     J J^T = Re(W W^H) and J^T y viewed as complex is W^T y. Real products
     also keep these small matrices off multithreaded complex BLAS calls.
     """
-    e = _local_expectations_raw(psi, n_qubits).ravel()
-    w = np.empty((3 * n_qubits, psi.size), dtype=complex)
-    for site in range(n_qubits):
-        a = psi.reshape(1 << site, 2, -1)
-        flip = a[:, ::-1]
-        # sigma_x, sigma_y, sigma_z applied to the site's bit
-        v = w[3 * site : 3 * site + 3].reshape(3, *a.shape)
-        v[0], v[1], v[2] = flip, flip * [[-1j], [1j]], a * [[1.0], [-1.0]]
+    nn = np.vdot(psi, psi).real
+    w = _pauli_images(psi, n_qubits)
+    e = _image_expectations(w, psi, nn)
     w -= e[:, None] * psi
-    w *= 2.0 / np.vdot(psi, psi).real
+    w *= 2.0 / nn
     return e, w.view(np.float64)
 
 

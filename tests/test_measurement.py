@@ -6,6 +6,8 @@ import pytest
 from maxent.linalg import partial_trace_single_site
 from maxent.measurement import (
     AXES,
+    _image_tables,
+    _pauli_images,
     CorrelationMatrix,
     ShotRecord,
     axes_from_chars,
@@ -13,6 +15,7 @@ from maxent.measurement import (
     born_probabilities,
     chars_from_axes,
     correlation,
+    correlation_matrices,
     correlation_matrix,
     empirical_correlation,
     empirical_expectation,
@@ -72,6 +75,20 @@ def test_local_expectations_kernel_matches_dense_oracle():
         ]
         assert np.allclose(got, want, rtol=0, atol=1e-13)
         assert np.array_equal(bloch_vector(st, n), got[n - 1])
+
+
+def test_pauli_images_match_dense_oracle():
+    # unnormalized vectors: the images are linear in psi
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        psi = rng.uniform(0.2, 3.0) * (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
+        images = _pauli_images(psi, n)
+        assert images.shape == (3 * n, 1 << n)
+        for site in range(1, n + 1):
+            for axis in AXES:
+                want = oracles.site_operator(n, site, oracles.SIGMA[axis]) @ psi
+                assert np.allclose(images[3 * (site - 1) + axis - 1], want, rtol=0, atol=1e-14)
+        assert not any(table.flags.writeable for table in _image_tables(n))
 
 
 def test_local_expectation_agrees_with_density_route():
@@ -148,14 +165,20 @@ def test_correlation_matrix_equality():
 
 def test_correlation_matrix_matches_oracle_on_all_ordered_pairs():
     rng = np.random.default_rng(17)
-    for n in (3, 5, 8):
+    for n in range(1, 9):
         st = _random_state(rng, n)
+        every = correlation_matrices(st)
+        assert every.shape == (n, n, 3, 3)
         for sa in range(1, n + 1):
+            bloch = local_expectations(st)[sa - 1]
+            assert np.allclose(every[sa - 1, sa - 1], np.eye(3) - np.outer(bloch, bloch), atol=1e-13)
             for sb in range(1, n + 1):
                 if sa == sb:
                     continue
                 cm = correlation_matrix(st, sa, sb)
                 assert cm.site_pair == (sa, sb)
+                assert np.array_equal(cm.t, every[sa - 1, sb - 1])
+                assert np.array_equal(every[sa - 1, sb - 1], every[sb - 1, sa - 1].T)
                 want = [
                     [oracles.covariance(st.amplitudes, n, sa, i, sb, j) for j in AXES]
                     for i in AXES

@@ -252,7 +252,7 @@ def test_three_qubit_balanced_example_has_zero_cost():
 def test_residuals_jacobian_matches_oracle():
     # rows are 2(sigma_k psi - e_k psi)/<psi|psi> with site-major k, also off
     # the unit sphere; the float64 view interleaves (Re, Im)
-    for n, scale in ((2, 1.0), (3, 0.6), (4, 1.7)):
+    for n, scale in ((2, 1.0), (3, 0.6), (4, 1.7), (8, 2.3)):
         psi = scale * haar_random_state(n, 50 + n).amplitudes
         e, jac = _residuals_jacobian(psi, n)
         w = jac.view(complex)
