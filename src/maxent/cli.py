@@ -18,11 +18,10 @@ import numpy as np
 from .entanglement import (
     LN2,
     apply_local_unitaries,
-    commutator_defect,
     constraint_check,
     criterion_check,
-    reduced_entropy,
     schmidt_coefficients,
+    site_marginals,
     trace_invariant,
 )
 from .measurement import (
@@ -73,20 +72,20 @@ def _emit(text: str) -> None:
 
 
 def _analysis_document(state: State, label, tol: float, constraint_tol: float) -> dict:
-    sites = []
-    for site, bloch in enumerate(local_expectations(state).tolist(), start=1):
-        rep = reduced_entropy(state, site)
-        sites.append(
-            {
-                "site": site,
-                "expectations": dict(zip("xyz", bloch)),
-                "variances": {c: 1.0 - e * e for c, e in zip("xyz", bloch)},
-                "entropy_nats": rep.entropy_nats,
-                "entropy_bits": rep.entropy_nats / LN2,
-                "eigenvalues": list(rep.eigenvalues),
-                "commutator_defect": commutator_defect(state, site),
-            }
-        )
+    bloch = local_expectations(state)
+    eigenvalues, entropies, defects = (q.tolist() for q in site_marginals(bloch))
+    sites = [
+        {
+            "site": k + 1,
+            "expectations": dict(zip("xyz", b)),
+            "variances": {c: 1.0 - e * e for c, e in zip("xyz", b)},
+            "entropy_nats": entropies[k],
+            "entropy_bits": entropies[k] / LN2,
+            "eigenvalues": eigenvalues[k],
+            "commutator_defect": defects[k],
+        }
+        for k, b in enumerate(bloch.tolist())
+    ]
     t = correlation_matrices(state).tolist()
     pairs = [
         {"sites": [i + 1, j + 1], "t": t[i][j]}
@@ -274,8 +273,7 @@ def cmd_search(args) -> int:
                 f"  {o.final_cost:<20.9g}  {o.seed}"
             )
         entropies = " ".join(
-            _fmt(reduced_entropy(best.state, s).entropy_nats)
-            for s in range(1, args.n + 1)
+            _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
         )
         lines.append(f"best entropies (nats): {entropies}")
         _emit("\n".join(lines))
@@ -309,7 +307,7 @@ def _verify_constructive(_k, rng, args) -> bool:
     if args.perturb:
         state = _perturbed(state, args.perturb, rng)
     return criterion_check(state, args.tol).satisfied and all(
-        abs(reduced_entropy(state, s).entropy_nats - LN2) <= args.tol for s in (1, 2)
+        abs(s - LN2) <= args.tol for s in site_marginals(local_expectations(state))[1].tolist()
     )
 
 
@@ -328,10 +326,8 @@ def _verify_lu_invariance(k, rng, args) -> bool:
     same_verdict = (
         criterion_check(state, args.tol).satisfied == criterion_check(moved, args.tol).satisfied
     )
-    pairs = [
-        (reduced_entropy(state, s).entropy_nats, reduced_entropy(moved, s).entropy_nats)
-        for s in range(1, n + 1)
-    ]
+    entropies = (site_marginals(local_expectations(s))[1].tolist() for s in (state, moved))
+    pairs = list(zip(*entropies))
     if n == 2:
         pairs += zip(schmidt_coefficients(state), schmidt_coefficients(moved))
         pairs.append((trace_invariant(state), trace_invariant(moved)))
@@ -341,7 +337,7 @@ def _verify_lu_invariance(k, rng, args) -> bool:
 def _verify_commutator(k, rng, _args) -> bool:
     n = 2 if k % 2 == 0 else 3
     state = _criterion_state(n, rng)
-    commutes = all(commutator_defect(state, s) <= 1e-9 for s in range(1, n + 1))
+    commutes = site_marginals(local_expectations(state))[2].max() <= 1e-9
     # draw the biased state even when the first half failed, so the stream
     # position of every later trial does not depend on verdicts
     noisy = haar_random_state(n, rng)
@@ -349,15 +345,12 @@ def _verify_commutator(k, rng, _args) -> bool:
         if criterion_check(noisy, 0.1).max_abs_expectation >= 0.1:
             break
         noisy = haar_random_state(n, rng)
-    return commutes and max(commutator_defect(noisy, s) for s in range(1, n + 1)) >= 1e-3
+    return commutes and site_marginals(local_expectations(noisy))[2].max() >= 1e-3
 
 
 def _verify_entropy_coupling(_k, rng, _args) -> bool:
-    state = haar_random_state(2, rng)
-    return all(
-        LN2 - reduced_entropy(state, s).entropy_nats >= b @ b / 2 - 1e-12
-        for s, b in enumerate(local_expectations(state), start=1)
-    )
+    b = local_expectations(haar_random_state(2, rng))
+    return bool(np.all(LN2 - site_marginals(b)[1] >= np.sum(b * b, axis=1) / 2 - 1e-12))
 
 
 def _verify_orthogonality(_k, rng, _args) -> bool:

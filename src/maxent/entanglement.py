@@ -1,11 +1,13 @@
-"""Reduced densities, entropies, and certificates of maximal entanglement.
+"""Single-site marginals, entropies, and certificates of maximal entanglement.
 
 A state of n qubits is maximally entangled exactly when all 3n local Pauli
 expectations vanish, equivalently when every single-site reduced density is
-I/2 and every single-site entropy is ln 2. For 2 qubits the same set is cut
-out by constraints on the coefficient matrix: |a11|^2 + |a12|^2 = 1/2,
-|a22| = |a11|, |a21| = |a12|, and arg a11 + arg a22 - arg a12 - arg a21
-congruent to pi mod 2 pi. This module checks all of these forms.
+I/2 and every single-site entropy is ln 2. Site i's marginal is
+(I + b_i.sigma)/2 for its Bloch vector b_i, so :func:`site_marginals` reads
+every site's spectrum, entropy and commutator defect off the Bloch array.
+For 2 qubits the same set is cut out by constraints on the coefficient
+matrix: |a11|^2 + |a12|^2 = 1/2, |a22| = |a11|, |a21| = |a12|, and
+arg a11 + arg a22 - arg a12 - arg a21 congruent to pi mod 2 pi.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _partial_trace, apply_single_site, hermitian_eigenvalues_2x2
-from .measurement import AXES, _SIGMA, _check_site, local_expectations
+from .linalg import apply_single_site, hermitian_eigenvalues_2x2
+from .measurement import AXES, _check_site, bloch_vector, local_expectations
 from .states import State, as_coefficient_matrix
 
 CRITERION_TOL = 1e-9
@@ -26,10 +28,36 @@ _EIGENVALUE_FLOOR = -1e-12
 
 LN2 = math.log(2.0)
 
+_HALF_SIGNS = np.array([0.5, -0.5])
+
+
+def site_marginals(bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every site's marginal spectrum, entropy and commutator defect.
+
+    Row i of the (n, 3) ``bloch`` array fixes rho_i = (I + b_i.sigma)/2; r = |b_i|.
+    Returns eigenvalues (n, 2) = ((1 + r)/2, (1 - r)/2), clamped to [0, 1]
+    (one below -1e-12 is an error); entropies (n,) = -sum lam ln lam in nats,
+    with 0 ln 0 = 0; and defects (n,) = max_a ||[sigma_a, rho_i]||_F, which
+    is sqrt(2 (r^2 - min_a b_a^2)) and zero exactly when rho_i = I/2.
+    """
+    b2 = np.square(np.asarray(bloch, dtype=np.float64))
+    r2 = b2.sum(axis=1)
+    raw = 0.5 + np.sqrt(r2)[:, None] * _HALF_SIGNS
+    if raw.min() < _EIGENVALUE_FLOOR:
+        raise ValueError(f"marginal eigenvalue {raw.min()} is negative beyond rounding")
+    eigenvalues = np.minimum(np.maximum(raw, 0.0), 1.0)
+    # ln 1 = 0 stands in where lam = 0, so 0 ln 0 counts as 0.
+    xlogx = eigenvalues * np.log(eigenvalues + (eigenvalues == 0.0))
+    entropies = np.maximum(0.0 - xlogx.sum(axis=1), 0.0)
+    # r2 is a sum of the same squares, so r2 >= min(b2) in floating point too.
+    defects = np.sqrt(2.0 * (r2 - b2.min(axis=1)))
+    return eigenvalues, entropies, defects
+
 
 def reduced_density(state: State, site: int) -> np.ndarray:
-    """Single-site reduced density matrix, a 2x2 Hermitian ndarray."""
-    return _partial_trace(state.amplitudes, _check_site(state.n_qubits, site))
+    """Single-site reduced density matrix (I + b.sigma)/2, a 2x2 Hermitian ndarray."""
+    x, y, z = bloch_vector(state, site)
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 @dataclass(frozen=True)
@@ -44,27 +72,13 @@ class EntropyReport:
 def reduced_entropy(state: State, site: int) -> EntropyReport:
     """Von Neumann entropy of one site's marginal, in nats.
 
-    Eigenvalues in [-1e-12, 0) are treated as rounding and clamped to 0;
-    anything more negative is an error. Uses the 0 ln 0 = 0 convention.
+    One entry of :func:`site_marginals`: eigenvalues in [-1e-12, 0) are
+    treated as rounding and clamped to 0; anything more negative is an
+    error. Uses the 0 ln 0 = 0 convention.
     """
-    rho = reduced_density(state, site)
-    raw = hermitian_eigenvalues_2x2(rho)
-    eigenvalues = []
-    for lam in raw:
-        if lam < _EIGENVALUE_FLOOR:
-            raise ValueError(f"marginal eigenvalue {lam} is negative beyond rounding")
-        eigenvalues.append(float(min(max(lam, 0.0), 1.0)))
-    entropy = 0.0
-    for lam in eigenvalues:
-        if lam > 0.0:
-            entropy -= lam * math.log(lam)
-    if entropy < 0.0:
-        entropy = 0.0
-    return EntropyReport(
-        site=site,
-        eigenvalues=(eigenvalues[0], eigenvalues[1]),
-        entropy_nats=entropy,
-    )
+    _check_site(state.n_qubits, site)
+    eigenvalues, entropies, _ = site_marginals(local_expectations(state))
+    return EntropyReport(site, tuple(eigenvalues[site - 1].tolist()), float(entropies[site - 1]))
 
 
 @dataclass(frozen=True)
@@ -178,15 +192,11 @@ def schmidt_coefficients(state: State) -> tuple[float, float]:
 def commutator_defect(state: State, site: int) -> float:
     """Largest Frobenius norm of [sigma, rho_site] over the three Paulis.
 
-    Zero exactly when the site's marginal is diagonal in every Pauli basis,
-    i.e. when it is I/2.
+    One entry of :func:`site_marginals`. Zero exactly when the site's
+    marginal is diagonal in every Pauli basis, i.e. when it is I/2.
     """
-    rho = reduced_density(state, site)
-    defect = 0.0
-    for axis in AXES:
-        sigma = _SIGMA[axis]
-        defect = max(defect, float(np.linalg.norm(sigma @ rho - rho @ sigma)))
-    return defect
+    _check_site(state.n_qubits, site)
+    return float(site_marginals(local_expectations(state))[2][site - 1])
 
 
 def apply_local_unitaries(state: State, unitaries) -> State:

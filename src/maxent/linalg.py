@@ -91,11 +91,6 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-    return _partial_trace(amps, site)
-
-
-def _partial_trace(amps: np.ndarray, site: int) -> np.ndarray:
-    """:func:`partial_trace_single_site` without its checks, for valid inputs."""
     cube = amps.reshape(1 << (site - 1), 2, -1)
     return np.einsum("aib,ajb->ij", cube, cube.conj())
 

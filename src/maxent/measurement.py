@@ -5,9 +5,9 @@ basis. One kernel gathers V, the 3n Pauli images sigma_a^i psi, from cached
 index and phase tables. Every local expectation (:func:`local_expectations`,
 which :mod:`maxent.search` also runs on unnormalized vectors, along with its
 Jacobian) is a projection of V onto psi, and every pair's correlations
-(:func:`correlation_matrices`) come from one Gram product of V. The
-single-site density-matrix route lives in :mod:`maxent.entanglement` and the
-two are cross-checked in the test suite.
+(:func:`correlation_matrices`) come from one Gram product of V. The tests
+check each site's marginal (I + b.sigma)/2, from its row b of expectations,
+against the einsum partial trace :func:`maxent.linalg.partial_trace_single_site`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from maxent.cli import main
-from maxent.statefile import read_state_file
+from maxent.entanglement import commutator_defect, reduced_entropy
+from maxent.search import haar_random_state
+from maxent.statefile import read_state_file, write_state_file
 from maxent.states import example_state
 
 LN2 = math.log(2.0)
@@ -148,6 +150,21 @@ def test_analyze_json_schema(capsys, tmp_path):
     assert site1["variances"]["z"] == pytest.approx(1.0, abs=1e-12)
     t = np.array(doc["correlation_matrices"][0]["t"])
     assert np.allclose(t @ t.T, np.eye(3), atol=1e-9)
+
+
+def test_analyze_site_fields_equal_the_library_entries(capsys, tmp_path):
+    for n in (1, 2, 3, 5, 8):
+        path = str(tmp_path / f"haar{n}.txt")
+        write_state_file(path, haar_random_state(n, seed=n), f"haar n={n}")
+        state, _ = read_state_file(path)
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0
+        for row in json.loads(out)["sites"]:
+            rep = reduced_entropy(state, row["site"])
+            assert row["entropy_nats"] == rep.entropy_nats
+            assert row["entropy_bits"] == rep.entropy_nats / LN2
+            assert row["eigenvalues"] == list(rep.eigenvalues)
+            assert row["commutator_defect"] == commutator_defect(state, row["site"])
 
 
 def test_search_writes_converged_state(capsys, tmp_path):

@@ -12,9 +12,10 @@ from maxent.entanglement import (
     reduced_density,
     reduced_entropy,
     schmidt_coefficients,
+    site_marginals,
     trace_invariant,
 )
-from maxent.linalg import hermitian_eigenvalues_2x2
+from maxent.linalg import hermitian_eigenvalues_2x2, partial_trace_single_site
 from maxent.measurement import AXES, local_expectation, local_expectations
 from maxent.search import (
     generate_constrained,
@@ -59,6 +60,53 @@ def test_reduced_density_matches_oracle_on_random_states():
         for site in range(1, n + 1):
             want = oracles.partial_trace_loops(st.amplitudes, n, site)
             assert np.allclose(reduced_density(st, site), want, atol=1e-13)
+
+
+def test_reduced_density_matches_the_partial_trace_route():
+    # the Bloch route (I + b.sigma)/2 against the einsum partial trace
+    for n in range(1, 9):
+        st = haar_random_state(n, seed=10 + n)
+        for site in range(1, n + 1):
+            want = partial_trace_single_site(st.amplitudes, n, site)
+            assert np.max(np.abs(reduced_density(st, site) - want)) <= 1e-14
+
+
+def test_site_marginals_match_oracles_on_haar_states():
+    for n in range(1, 9):
+        for seed in range(3):
+            st = haar_random_state(n, seed=100 * n + seed)
+            eigenvalues, entropies, defects = site_marginals(local_expectations(st))
+            assert eigenvalues.shape == (n, 2)
+            assert entropies.shape == defects.shape == (n,)
+            for site in range(1, n + 1):
+                rho = oracles.partial_trace_loops(st.amplitudes, n, site)
+                lams = oracles.density_eigenvalues(rho)
+                assert np.max(np.abs(eigenvalues[site - 1] - lams)) <= 1e-12
+                assert abs(entropies[site - 1] - oracles.entropy_of_density(rho)) <= 1e-12
+                want = max(oracles.commutator_frobenius(rho, axis) for axis in AXES)
+                assert abs(defects[site - 1] - want) <= 1e-12
+
+
+def test_site_marginals_of_ghz_and_product_states():
+    for n in range(2, 9):
+        amps = np.zeros(1 << n)
+        amps[0] = amps[-1] = 1.0
+        eigenvalues, entropies, defects = site_marginals(local_expectations(from_amplitudes(amps)))
+        assert np.max(np.abs(eigenvalues - 0.5)) <= 1e-15
+        assert np.max(np.abs(entropies - LN2)) <= 1e-15
+        assert np.max(defects) <= 1e-15
+        amps[-1] = 0.0
+        eigenvalues, entropies, defects = site_marginals(local_expectations(from_amplitudes(amps)))
+        assert np.array_equal(eigenvalues, np.tile([1.0, 0.0], (n, 1)))
+        assert np.array_equal(entropies, np.zeros(n))
+        assert np.array_equal(defects, np.full(n, math.sqrt(2.0)))
+
+
+def test_site_marginals_clamp_rounding_and_reject_unphysical_vectors():
+    eigenvalues, entropies, defects = site_marginals([[0.0, 0.0, 1.0 + 1e-13]])
+    assert eigenvalues.tolist() == [[1.0, 0.0]] and entropies.tolist() == [0.0]
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        site_marginals([[0.0, 0.0, 0.0], [0.6, 0.0, 0.9]])
 
 
 def test_two_qubit_marginals_share_the_coefficient_matrix_spectrum():
