@@ -47,6 +47,7 @@ from .statefile import format_state, read_state_file, write_state_file
 from .states import (
     EXAMPLE_STATE_NAMES,
     State,
+    _ket_label,
     as_coefficient_matrix,
     epr_family,
     example_state,
@@ -72,8 +73,8 @@ def _emit(text: str) -> None:
 
 
 def _analysis_document(state: State, label, tol: float, constraint_tol: float) -> dict:
-    bloch = local_expectations(state)
-    eigenvalues, entropies, defects = (q.tolist() for q in site_marginals(bloch))
+    crit = criterion_check(state, tol)
+    eigenvalues, entropies, defects = (q.tolist() for q in site_marginals(crit.expectations))
     sites = [
         {
             "site": k + 1,
@@ -84,7 +85,7 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
             "eigenvalues": eigenvalues[k],
             "commutator_defect": defects[k],
         }
-        for k, b in enumerate(bloch.tolist())
+        for k, b in enumerate(crit.expectations)
     ]
     t = correlation_matrices(state).tolist()
     pairs = [
@@ -92,7 +93,6 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
         for i in range(state.n_qubits)
         for j in range(i + 1, state.n_qubits)
     ]
-    crit = criterion_check(state, tol)
     doc = {
         "n_qubits": state.n_qubits,
         "label": label,
@@ -306,8 +306,9 @@ def _verify_constructive(_k, rng, args) -> bool:
     state = generate_constrained(random_constraint_params(rng))
     if args.perturb:
         state = _perturbed(state, args.perturb, rng)
-    return criterion_check(state, args.tol).satisfied and all(
-        abs(s - LN2) <= args.tol for s in site_marginals(local_expectations(state))[1].tolist()
+    crit = criterion_check(state, args.tol)
+    return crit.satisfied and all(
+        abs(s - LN2) <= args.tol for s in site_marginals(crit.expectations)[1].tolist()
     )
 
 
@@ -323,10 +324,9 @@ def _verify_lu_invariance(k, rng, args) -> bool:
     n = 2 if k % 2 == 0 else 3
     state = _criterion_state(n, rng) if k % 4 < 2 else haar_random_state(n, rng)
     moved = apply_local_unitaries(state, [haar_random_su2(rng) for _ in range(n)])
-    same_verdict = (
-        criterion_check(state, args.tol).satisfied == criterion_check(moved, args.tol).satisfied
-    )
-    entropies = (site_marginals(local_expectations(s))[1].tolist() for s in (state, moved))
+    before, after = (criterion_check(s, args.tol) for s in (state, moved))
+    same_verdict = before.satisfied == after.satisfied
+    entropies = (site_marginals(c.expectations)[1].tolist() for c in (before, after))
     pairs = list(zip(*entropies))
     if n == 2:
         pairs += zip(schmidt_coefficients(state), schmidt_coefficients(moved))
@@ -340,12 +340,12 @@ def _verify_commutator(k, rng, _args) -> bool:
     commutes = site_marginals(local_expectations(state))[2].max() <= 1e-9
     # draw the biased state even when the first half failed, so the stream
     # position of every later trial does not depend on verdicts
-    noisy = haar_random_state(n, rng)
+    noisy_crit = criterion_check(haar_random_state(n, rng), 0.1)
     for _ in range(100):
-        if criterion_check(noisy, 0.1).max_abs_expectation >= 0.1:
+        if noisy_crit.max_abs_expectation >= 0.1:
             break
-        noisy = haar_random_state(n, rng)
-    return commutes and site_marginals(local_expectations(noisy))[2].max() >= 1e-3
+        noisy_crit = criterion_check(haar_random_state(n, rng), 0.1)
+    return commutes and site_marginals(noisy_crit.expectations)[2].max() >= 1e-3
 
 
 def _verify_entropy_coupling(_k, rng, _args) -> bool:
@@ -396,10 +396,6 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- sample
 
-# Outcome index bits, most significant site first, to +1/-1 symbols.
-_OUTCOME_SIGNS = str.maketrans("01", "+-")
-
-
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
     record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
@@ -430,7 +426,7 @@ def cmd_sample(args) -> int:
             "shots": record.shots,
             "seed": record.seed,
             "counts": {
-                format(k, f"0{state.n_qubits}b").translate(_OUTCOME_SIGNS): counts[k]
+                _ket_label(k, state.n_qubits): counts[k]
                 for k in np.flatnonzero(record.binned).tolist()
             },
             "expectations": expectations,

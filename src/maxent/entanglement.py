@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_single_site, hermitian_eigenvalues_2x2
-from .measurement import AXES, _check_site, bloch_vector, local_expectations
+from .linalg import _apply_site, _check_site, hermitian_eigenvalues_2x2
+from .measurement import bloch_vector, local_expectations
 from .states import State, as_coefficient_matrix
 
 CRITERION_TOL = 1e-9
@@ -85,11 +85,12 @@ def reduced_entropy(state: State, site: int) -> EntropyReport:
 class CriterionReport:
     """Verdict of the all-local-expectations-vanish test.
 
-    ``expectations`` maps (site, axis) to the local Pauli expectation;
-    ``satisfied`` holds exactly when ``max_abs_expectation <= tolerance``.
+    ``expectations[site - 1][axis - 1]`` is that local Pauli expectation, a
+    float: the rows of :func:`local_expectations` as tuples. ``satisfied``
+    holds exactly when ``max_abs_expectation <= tolerance``.
     """
 
-    expectations: dict
+    expectations: tuple[tuple[float, float, float], ...]
     max_abs_expectation: float
     satisfied: bool
     tolerance: float
@@ -100,14 +101,9 @@ def criterion_check(state: State, tolerance: float = CRITERION_TOL) -> Criterion
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     e = local_expectations(state)
-    expectations = {
-        (site, axis): float(e[site - 1, axis - 1])
-        for site in range(1, state.n_qubits + 1)
-        for axis in AXES
-    }
     max_abs = float(np.max(np.abs(e)))
     return CriterionReport(
-        expectations=expectations,
+        expectations=tuple(map(tuple, e.tolist())),
         max_abs_expectation=max_abs,
         satisfied=max_abs <= tolerance,
         tolerance=tolerance,
@@ -217,7 +213,7 @@ def apply_local_unitaries(state: State, unitaries) -> State:
             raise ValueError(f"factor {k} is not unitary within {_UNITARY_TOL}")
     amplitudes = state.amplitudes
     for site, u in enumerate(unitaries, start=1):
-        amplitudes = apply_single_site(amplitudes, state.n_qubits, site, u)
+        amplitudes = _apply_site(amplitudes, site, u)
     return State(n_qubits=state.n_qubits, amplitudes=amplitudes)
 
 

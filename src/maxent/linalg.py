@@ -43,6 +43,12 @@ def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
     return amps
 
 
+def _check_site(n_qubits: int, site: int) -> int:
+    if not 1 <= site <= n_qubits:
+        raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
+    return site
+
+
 def apply_single_site(amplitudes, n_qubits: int, site: int, op) -> np.ndarray:
     """Act with a 2x2 operator on one site of an amplitude vector.
 
@@ -50,8 +56,7 @@ def apply_single_site(amplitudes, n_qubits: int, site: int, op) -> np.ndarray:
     need not be normalized.
     """
     amps = _require_amplitudes(amplitudes, n_qubits)
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
+    _check_site(n_qubits, site)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (2, 2):
         raise ValueError("single-site operator must be 2x2")
@@ -86,8 +91,7 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
         2x2 Hermitian matrix with unit trace.
     """
     amps = _require_amplitudes(amplitudes, n_qubits)
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
+    _check_site(n_qubits, site)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _apply_site
-from .states import State
+from .linalg import _apply_site, _check_site
+from .states import State, _ket_label
 
 AXES = (1, 2, 3)
 
@@ -50,12 +50,6 @@ def _check_axis(axis: int) -> int:
     if axis not in AXES:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis
-
-
-def _check_site(n_qubits: int, site: int) -> int:
-    if not 1 <= site <= n_qubits:
-        raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
-    return site
 
 
 def pauli(axis: int) -> np.ndarray:
@@ -241,11 +235,6 @@ def chars_from_axes(bases) -> str:
     return "".join(AXIS_TO_CHAR[a] for a in bases)
 
 
-def outcome_symbols(outcome) -> str:
-    """Render an outcome tuple like (+1, -1) as '+-'."""
-    return "".join("+" if v > 0 else "-" for v in outcome)
-
-
 def _bits(n_qubits: int) -> np.ndarray:
     """Outcome table: entry [k, i] is 1 where site i+1 reads -1 in outcome k, else 0."""
     return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
@@ -257,9 +246,9 @@ class ShotRecord:
 
     ``binned[k]`` counts outcome k, whose bits (most significant site first)
     encode +1 as 0 and -1 as 1, the order of :func:`born_probabilities`.
-    The counts always sum to ``shots``. ``seed`` is the integer that seeded
-    the PCG64 stream of the multinomial draw, so identical inputs reproduce
-    the record exactly.
+    Every base is an axis, and the counts are nonnegative and sum exactly
+    to ``shots`` (else ``ValueError``). The integer ``seed`` seeded the
+    PCG64 multinomial draw, so equal inputs reproduce the record exactly.
     """
 
     bases: tuple[int, ...]
@@ -268,9 +257,14 @@ class ShotRecord:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for axis in self.bases:
+            _check_axis(axis)
         binned = np.array(self.binned, dtype=np.int64)
         if binned.shape != (1 << len(self.bases),):
             raise ValueError(f"expected {1 << len(self.bases)} counts, got shape {binned.shape}")
+        # A Python sum is exact where an int64 sum could wrap.
+        if binned.min() < 0 or sum(binned.tolist()) != self.shots:
+            raise ValueError(f"counts must be nonnegative and sum to shots={self.shots}")
         binned.setflags(write=False)
         object.__setattr__(self, "binned", binned)
 
@@ -290,11 +284,12 @@ class ShotRecord:
     def to_table(self) -> str:
         """Text table: a header line, then 'outcome count' rows.
 
-        Rows are sorted lexicographically by outcome symbols with + before -.
+        Rows follow the outcome index, which is symbol order with + before -.
         """
         header = f"bases={chars_from_axes(self.bases)} seed={self.seed} shots={self.shots}"
-        rows = sorted((outcome_symbols(o), c) for o, c in self.counts.items())
-        return "\n".join([header] + [f"{sym} {count}" for sym, count in rows]) + "\n"
+        n, counts = len(self.bases), self.binned.tolist()
+        rows = (f"{_ket_label(k, n)} {counts[k]}" for k in np.flatnonzero(self.binned).tolist())
+        return "\n".join([header, *rows]) + "\n"
 
 
 def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
@@ -302,13 +297,13 @@ def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
 
     The counts come from one multinomial draw over the outcomes of nonzero
     probability, which has the distribution of ``shots`` independent
-    categorical draws at a cost independent of ``shots``. The random stream
-    is numpy's PCG64 seeded with the integer ``seed`` (anything else raises
-    ``TypeError``), so a given (state, bases, shots, seed) always yields the
-    same record. Outcomes with exactly zero probability are never produced.
+    categorical draws at a cost independent of ``shots``. ``shots`` and
+    ``seed`` must be integers (else ``TypeError``); the stream is numpy's
+    PCG64 seeded with ``seed``, so equal inputs always give the same
+    record. Outcomes with exactly zero probability are never produced.
     """
     bases = _check_bases(state, bases)
-    seed = operator.index(seed)
+    shots, seed = operator.index(shots), operator.index(seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > _MAX_SHOTS:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +27,31 @@ INGEST_NORM_FLOOR = 1e-12
 # writing and re-reading a canonical state is bit-identical.
 _EXACT_NORM_WINDOW = 4e-16
 
+_BITS_TO_SYMBOLS = str.maketrans("01", "+-")
+_SYMBOLS_TO_BITS = str.maketrans("+-", "01")
+
 
 def basis_index(label: str) -> int:
     """Index of a basis ket given its +/- label (first symbol most significant)."""
     if not label or any(ch not in "+-" for ch in label):
         raise ValueError(f"basis label must be a nonempty string over {{+,-}}, got {label!r}")
-    index = 0
-    for ch in label:
-        index = 2 * index + (0 if ch == "+" else 1)
-    return index
+    return int(label.translate(_SYMBOLS_TO_BITS), 2)
 
 
 def basis_label(index: int, n_qubits: int) -> str:
     """+/- label of the basis ket at ``index`` in an ``n_qubits`` register."""
+    index, n_qubits = operator.index(index), operator.index(n_qubits)
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     if not 0 <= index < (1 << n_qubits):
         raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-    return "".join("+" if (index >> k) & 1 == 0 else "-" for k in range(n_qubits - 1, -1, -1))
+    return _ket_label(index, n_qubits)
+
+
+def _ket_label(index: int, n_qubits: int) -> str:
+    """:func:`basis_label` without its checks, for Python ints in range."""
+    # The bit set above the first site keeps leading zeros; [3:] drops "0b1".
+    return bin(index | 1 << n_qubits)[3:].translate(_BITS_TO_SYMBOLS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -146,15 +146,18 @@ def test_reduced_entropy_bounds_on_random_states():
 
 
 def test_criterion_check_reports_the_kernel_entries():
-    for n in (1, 2, 5, 8):
+    for n in range(1, 9):
         st = haar_random_state(n, seed=40 + n)
         e = local_expectations(st)
         rep = criterion_check(st, 1e-9)
-        assert rep.expectations == {
-            (site, axis): e[site - 1, axis - 1]
+        assert rep.expectations == tuple(map(tuple, e.tolist()))
+        assert all(
+            type(rep.expectations[site - 1][axis - 1]) is float
+            and rep.expectations[site - 1][axis - 1] == e[site - 1, axis - 1]
             for site in range(1, n + 1)
             for axis in AXES
-        }
+        )
+        assert rep == criterion_check(st, 1e-9)
         assert rep.max_abs_expectation == np.max(np.abs(e))
 
 
@@ -166,11 +169,12 @@ def test_criterion_check_examples():
     assert rep.max_abs_expectation == pytest.approx(1.0, abs=1e-15)
     assert criterion_check(ghz("+"), 1e-9).satisfied
     assert criterion_check(example_state("three_qubit_balanced"), 1e-12).satisfied
-    assert len(rep.expectations) == 6
-    for (site, axis), value in rep.expectations.items():
-        assert value == pytest.approx(
-            oracles.expectation(plus.amplitudes, 2, site, axis), abs=1e-13
-        )
+    assert [len(row) for row in rep.expectations] == [3, 3]
+    for site, row in enumerate(rep.expectations, start=1):
+        for axis, value in zip(AXES, row):
+            assert value == pytest.approx(
+                oracles.expectation(plus.amplitudes, 2, site, axis), abs=1e-13
+            )
     with pytest.raises(ValueError):
         criterion_check(BELL, 0.0)
 

@@ -1,9 +1,10 @@
-"""Seeded CLI --json outputs pinned byte for byte.
+"""Seeded CLI outputs pinned byte for byte.
 
 Each case writes its input state with ``generate`` (when it needs one), runs
 one command, checks its exit code and compares stdout with
-``tests/golden/<name>.json``. A change that moves any of these bytes must
-update the file and declare the diff.
+``tests/golden/<name>.json`` for a ``--json`` case and
+``tests/golden/<name>.txt`` for a text one. A change that moves any of these
+bytes must update the file and declare the diff.
 """
 
 import pathlib
@@ -22,9 +23,20 @@ CASES = {
         ("analyze", "{path}", "--json"),
         0,
     ),
+    "analyze_text": (
+        ("generate", "constrained", "--random", "--seed", "5"),
+        ("analyze", "{path}"),
+        0,
+    ),
+    "analyze_ghz_text": (("generate", "ghz", "--sign", "+"), ("analyze", "{path}"), 0),
     "sample": (
         ("generate", "ghz", "--sign", "-"),
         ("sample", "{path}", "--bases", "xyz", "--shots", "5000", "--seed", "4", "--json"),
+        0,
+    ),
+    "sample_text": (
+        ("generate", "ghz", "--sign", "-"),
+        ("sample", "{path}", "--bases", "xyz", "--shots", "5000", "--seed", "4"),
         0,
     ),
     "verify": (None, ("verify", "--trials", "3", "--seed", "2", "--json"), 0),
@@ -38,6 +50,11 @@ CASES = {
     ),
     "search": (None, ("search", "--n", "3", "--starts", "4", "--seed", "2", "--json"), 0),
 }
+
+
+def golden_path(name: str) -> pathlib.Path:
+    suffix = ".json" if "--json" in CASES[name][1] else ".txt"
+    return GOLDEN / f"{name}{suffix}"
 
 
 def run_case(name: str, workdir: pathlib.Path, capsys) -> tuple[int, str]:
@@ -54,4 +71,4 @@ def run_case(name: str, workdir: pathlib.Path, capsys) -> tuple[int, str]:
 def test_golden_json_output(name, tmp_path, capsys):
     code, out = run_case(name, tmp_path, capsys)
     assert code == CASES[name][2]
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == golden_path(name).read_text(encoding="utf-8")

@@ -25,11 +25,10 @@ from maxent.measurement import (
     local_variance,
     mutual_information,
     mutual_information_matrix,
-    outcome_symbols,
     pauli,
     sample_outcomes,
 )
-from maxent.states import epr_family, example_state, from_amplitudes, ghz
+from maxent.states import basis_index, epr_family, example_state, from_amplitudes, ghz
 
 import oracles
 
@@ -240,6 +239,15 @@ def test_sample_outcomes_takes_an_integer_seed_only():
     assert type(rec.seed) is int and rec.to_table().startswith("bases=zz seed=1 ")
 
 
+def test_sample_outcomes_takes_an_integer_shot_count():
+    for shots in (10.5, np.float64(10)):
+        with pytest.raises(TypeError):
+            sample_outcomes(ghz("+"), (3, 3, 3), shots, 1)
+    rec = sample_outcomes(ghz("+"), (3, 3, 3), np.int64(5), 1)
+    assert rec == sample_outcomes(ghz("+"), (3, 3, 3), 5, 1)
+    assert type(rec.shots) is int and sum(rec.counts.values()) == 5
+
+
 def test_sample_outcomes_never_draws_a_zero_probability_last_outcome():
     # The last outcome, --, has probability exactly 0 in zz.
     st = from_amplitudes([1.0, 1.0, 1.0, 0.0])
@@ -278,9 +286,38 @@ def test_shot_record_table_format():
     assert rec == ShotRecord(bases=(3, 3), shots=10, binned=np.array([6, 0, 0, 4]), seed=3)
     assert rec != ShotRecord(bases=(3, 3), shots=10, binned=[4, 0, 0, 6], seed=3)
     assert rec.to_table() == "bases=zz seed=3 shots=10\n++ 6\n-- 4\n"
-    assert outcome_symbols((1, -1, 1)) == "+-+"
     with pytest.raises(ValueError):
         ShotRecord(bases=(3, 3), shots=10, binned=[6, 4], seed=3)
+
+
+def test_shot_record_rejects_a_base_that_is_not_an_axis():
+    with pytest.raises(ValueError, match="axis must be 1, 2 or 3, got 7"):
+        ShotRecord(bases=(7, 3), shots=10, binned=[6, 0, 0, 4], seed=0)
+
+
+def test_shot_record_rejects_a_negative_count():
+    # The counts still add up to shots.
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        ShotRecord(bases=(3, 3), shots=10, binned=[12, 0, -2, 0], seed=0)
+
+
+def test_shot_record_rejects_counts_that_do_not_sum_to_shots():
+    with pytest.raises(ValueError, match="sum to shots=10"):
+        ShotRecord(bases=(3, 3), shots=10, binned=[5, 0, 0, 50], seed=0)
+    # These counts add up to 2**64 + 10, which an int64 sum wraps to 10.
+    big = 2**63 - 1
+    with pytest.raises(ValueError, match="sum to shots=10"):
+        ShotRecord(bases=(3, 3), shots=10, binned=[big, big, 2, 10], seed=0)
+
+
+def test_shot_record_table_rows_are_in_symbol_order():
+    for n in range(1, 9):
+        binned = np.arange(1, (1 << n) + 1)
+        rec = ShotRecord(bases=(3,) * n, shots=int(binned.sum()), binned=binned, seed=0)
+        rows = [row.split() for row in rec.to_table().splitlines()[1:]]
+        labels = [label for label, _count in rows]
+        assert len(rows) == 1 << n and labels == sorted(labels)
+        assert all(int(count) == binned[basis_index(label)] for label, count in rows)
 
 
 def test_axes_char_round_trip():

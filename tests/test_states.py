@@ -16,6 +16,8 @@ from maxent.states import (
     schmidt_state,
 )
 
+import oracles
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -24,8 +26,13 @@ def test_basis_order_first_symbol_most_significant():
     assert basis_index("+-+") == 2
     assert basis_label(2, 2) == "-+"
     assert basis_label(0, 3) == "+++"
-    for i in range(8):
-        assert basis_index(basis_label(i, 3)) == i
+    for n in range(1, 9):
+        for i in range(1 << n):
+            label = basis_label(i, n)
+            assert basis_index(label) == i
+            assert label == "".join("+" if v > 0 else "-" for v in oracles.outcome_tuple(i, n))
+    assert basis_label(np.uint8(255), np.uint8(8)) == "-" * 8
+    assert basis_label(np.int8(5), np.int8(3)) == "-+-"
 
 
 def test_basis_label_rejects_junk():
@@ -35,6 +42,8 @@ def test_basis_label_rejects_junk():
         basis_index("")
     with pytest.raises(ValueError):
         basis_label(4, 2)
+    with pytest.raises(TypeError):
+        basis_label(2.0, 2)
 
 
 def test_state_is_immutable_copy():
