@@ -35,7 +35,6 @@ from .measurement import (
 )
 from .search import (
     ConstraintParams,
-    cost,
     generate_constrained,
     haar_random_state,
     haar_random_su2,

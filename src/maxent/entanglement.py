@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _apply_site, _check_site, hermitian_eigenvalues_2x2
+from .linalg import _apply_site, _check_site
 from .measurement import bloch_vector, local_expectations
 from .states import State, as_coefficient_matrix
 
@@ -175,14 +175,14 @@ def constraint_check(a: np.ndarray, tolerance: float = CONSTRAINT_TOL) -> Constr
 
 
 def schmidt_coefficients(state: State) -> tuple[float, float]:
-    """Descending singular values of the 2-qubit coefficient matrix.
+    """Descending singular values of the 2-qubit coefficient matrix A.
 
-    Computed as square roots of the eigenvalues of A A^dagger; their squares
-    sum to 1 for a normalized state.
+    A A^dagger is site 1's marginal, so they are the square roots of its
+    spectrum from :func:`site_marginals`; their squares sum to 1.
     """
-    a = as_coefficient_matrix(state)
-    lam = hermitian_eigenvalues_2x2(a @ a.conj().T)
-    return tuple(math.sqrt(max(v, 0.0)) for v in lam)
+    as_coefficient_matrix(state)  # a ValueError unless n == 2
+    eigenvalues = site_marginals(local_expectations(state))[0][0]
+    return tuple(math.sqrt(v) for v in eigenvalues.tolist())
 
 
 def commutator_defect(state: State, site: int) -> float:
@@ -209,7 +209,8 @@ def apply_local_unitaries(state: State, unitaries) -> State:
     for k, u in enumerate(unitaries, start=1):
         if u.shape != (2, 2):
             raise ValueError(f"factor {k} must be 2x2, got {u.shape}")
-        if np.max(np.abs(u @ u.conj().T - np.eye(2))) > _UNITARY_TOL:
+        # Written as "not <=" so that a NaN factor fails here, by name.
+        if not np.max(np.abs(u @ u.conj().T - np.eye(2))) <= _UNITARY_TOL:
             raise ValueError(f"factor {k} is not unitary within {_UNITARY_TOL}")
     amplitudes = state.amplitudes
     for site, u in enumerate(unitaries, start=1):

@@ -11,23 +11,11 @@ arrays, so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MAX_QUBITS = 8
 
 STATE_NORM_TOL = 1e-9
-HERMITICITY_TOL = 1e-10
-
-
-def _require_matrix(m, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
@@ -97,27 +85,4 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
     cube = amps.reshape(1 << (site - 1), 2, -1)
     return np.einsum("aib,ajb->ij", cube, cube.conj())
-
-
-def hermitian_eigenvalues_2x2(m) -> tuple[float, float]:
-    """Eigenvalues of a 2x2 Hermitian matrix in descending order.
-
-    Uses the closed form lam = (tr +- sqrt(tr^2 - 4 det)) / 2. The input
-    must be Hermitian within 1e-10 entrywise.
-    """
-    m = _require_matrix(m, "m")
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if (
-        abs(m[0, 0].imag) > HERMITICITY_TOL
-        or abs(m[1, 1].imag) > HERMITICITY_TOL
-        or abs(m[0, 1] - np.conj(m[1, 0])) > HERMITICITY_TOL
-    ):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    tr = float(m[0, 0].real + m[1, 1].real)
-    # The discriminant tr^2 - 4 det equals (a - d)^2 + 4|b|^2; the latter is
-    # a sum of squares, so it avoids the cancellation that would otherwise
-    # corrupt near-degenerate spectra at the sqrt(rounding) scale.
-    root = math.hypot(float(m[0, 0].real - m[1, 1].real), 2.0 * float(abs(m[0, 1])))
-    return ((tr + root) / 2.0, (tr - root) / 2.0)
 

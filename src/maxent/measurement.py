@@ -246,9 +246,10 @@ class ShotRecord:
 
     ``binned[k]`` counts outcome k, whose bits (most significant site first)
     encode +1 as 0 and -1 as 1, the order of :func:`born_probabilities`.
-    Every base is an axis, and the counts are nonnegative and sum exactly
-    to ``shots`` (else ``ValueError``). The integer ``seed`` seeded the
-    PCG64 multinomial draw, so equal inputs reproduce the record exactly.
+    Every base is an axis, ``shots`` is at least 1, and the counts are
+    nonnegative and sum exactly to ``shots`` (else ``ValueError``). The
+    integer ``seed`` seeded the PCG64 multinomial draw, so equal inputs
+    reproduce the record exactly.
     """
 
     bases: tuple[int, ...]
@@ -259,6 +260,8 @@ class ShotRecord:
     def __post_init__(self) -> None:
         for axis in self.bases:
             _check_axis(axis)
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
         binned = np.array(self.binned, dtype=np.int64)
         if binned.shape != (1 << len(self.bases),):
             raise ValueError(f"expected {1 << len(self.bases)} counts, got shape {binned.shape}")
@@ -318,15 +321,22 @@ def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
     return ShotRecord(bases=bases, shots=shots, binned=binned, seed=seed)
 
 
-def _joint_minus_counts(record: ShotRecord) -> np.ndarray:
-    """Entry [i, j] counts the shots reading -1 at both sites i+1 and j+1.
+def _joint_counts(record: ShotRecord) -> np.ndarray:
+    """Entry [x, y, i, j] counts the shots reading x at site i+1 and y at site j+1.
 
-    The diagonal counts each site's -1 shots. Every count, and every
-    difference the estimators form from them, lies in [-shots, shots], so
-    int64 holds them exactly for any valid ``shots``.
+    Outcome index 0 is +1 and 1 is -1, so [x, x, i, i] counts site i+1's
+    shots reading x. Every count, and every difference the estimators form
+    from them, lies in [-shots, shots], so int64 holds them exactly for any
+    valid ``shots``.
     """
     bits = _bits(len(record.bases))
-    return (bits.T * record.binned) @ bits
+    # One contraction counts the (-1, -1) shots; the other three entries
+    # follow from each site's -1 count on the diagonal.
+    both = (bits.T * record.binned) @ bits
+    minus = np.diagonal(both)
+    a_only = minus[:, None] - both
+    b_only = minus - both
+    return np.array([[(record.shots - minus[:, None]) - b_only, b_only], [a_only, both]])
 
 
 def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +347,11 @@ def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
     of the outcomes at sites i+1 and j+1 (1 on the diagonal). Both are exact
     integer sums over the counts, divided by ``shots`` once.
     """
-    both = _joint_minus_counts(record)
-    minus = np.diagonal(both)
-    disagree = (minus[:, None] - both) + (minus - both)
+    joint = _joint_counts(record)
+    means = np.diagonal(joint[0, 0] - joint[1, 1])
     # agree - disagree: each term lies in [0, shots].
-    products = (record.shots - disagree) - disagree
-    return ((record.shots - minus) - minus) / record.shots, products / record.shots
+    products = (joint[0, 0] + joint[1, 1]) - (joint[0, 1] + joint[1, 0])
+    return means / record.shots, products / record.shots
 
 
 def empirical_expectation(record: ShotRecord, site: int) -> float:
@@ -366,16 +375,9 @@ def mutual_information_matrix(record: ShotRecord) -> np.ndarray:
     joint distribution of the record with the 0 ln 0 = 0 convention. Each
     pair's four joint counts are exact integers from one contraction.
     """
-    both = _joint_minus_counts(record)
-    minus = np.diagonal(both)
-    plus = record.shots - minus
-    a_only = minus[:, None] - both
-    b_only = minus - both
-    # joint[x, y, i, j]: shots with outcome x at site i+1 and y at site j+1,
-    # index 0 for +1 and 1 for -1.
-    joint = np.array([[plus[:, None] - b_only, b_only], [a_only, both]])
-    p = joint / record.shots
-    marginal = np.array([plus, minus]) / record.shots
+    p = _joint_counts(record) / record.shots
+    # marginal[x, i] = p[x, x, i, i], the frequency of x at site i+1.
+    marginal = np.diagonal(np.diagonal(p))
     independent = marginal[:, None, :, None] * marginal[None, :, None, :]
     ratio = np.divide(p, independent, out=np.ones_like(p), where=p > 0.0)
     return np.sum(p * np.log(ratio), axis=(0, 1))

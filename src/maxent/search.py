@@ -180,7 +180,6 @@ def optimize(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
-    trace: list | None = None,
 ) -> SearchOutcome:
     """Descend the cost over the unit sphere from a given state.
 
@@ -190,7 +189,6 @@ def optimize(
     damped step helps (exact critical point, where J^T e = 0, or rounding),
     seeded random tangent kicks are tried under the same rule; if all fail
     the run stops "stuck". Running out of max_iter is not an error either.
-    A list passed as trace collects the cost of every accepted iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -202,8 +200,6 @@ def optimize(
     rng = np.random.default_rng(seed)
     iterations = escapes = 0
     evals = 1
-    if trace is not None:
-        trace.append(current)
     while current > tol and iterations < max_iter:
         for cand, kicked in _candidates(psi, n, rng):
             c = cost_raw(cand, n)
@@ -215,8 +211,6 @@ def optimize(
         psi, current = cand, c
         escapes += kicked
         iterations += 1
-        if trace is not None:
-            trace.append(current)
     return SearchOutcome(
         state=State(n_qubits=n, amplitudes=psi),
         final_cost=current,

@@ -15,7 +15,7 @@ from maxent.entanglement import (
     site_marginals,
     trace_invariant,
 )
-from maxent.linalg import hermitian_eigenvalues_2x2, partial_trace_single_site
+from maxent.linalg import partial_trace_single_site
 from maxent.measurement import AXES, local_expectation, local_expectations
 from maxent.search import (
     generate_constrained,
@@ -115,8 +115,8 @@ def test_two_qubit_marginals_share_the_coefficient_matrix_spectrum():
         st = haar_random_state(2, seed)
         a = as_coefficient_matrix(st)
         for site, gram in ((1, a @ a.conj().T), (2, a.conj().T @ a)):
-            traced = hermitian_eigenvalues_2x2(reduced_density(st, site))
-            direct = hermitian_eigenvalues_2x2(gram)
+            traced = oracles.density_eigenvalues(reduced_density(st, site))
+            direct = oracles.density_eigenvalues(gram)
             assert max(abs(d - t) for d, t in zip(direct, traced)) <= 1e-12
 
 
@@ -257,6 +257,14 @@ def test_schmidt_coefficients():
         assert got == pytest.approx(tuple(want), abs=1e-12)
         lams = oracles.density_eigenvalues(oracles.partial_trace_loops(st.amplitudes, 2, 1))
         assert (got[0] ** 2, got[1] ** 2) == pytest.approx(tuple(lams), abs=1e-12)
+    # Locally rotated states whose Schmidt spectrum splits by at most 1e-13.
+    rng = np.random.default_rng(5)
+    for seed in range(50):
+        half_split = rng.uniform(0.0, 5e-14)
+        flat = schmidt_state(math.sqrt(0.5 + half_split), math.sqrt(0.5 - half_split))
+        st = apply_local_unitaries(flat, [haar_random_su2(2 * seed), haar_random_su2(2 * seed + 1)])
+        want = np.linalg.svd(as_coefficient_matrix(st), compute_uv=False)
+        assert np.allclose(schmidt_coefficients(st), want, rtol=0.0, atol=1e-15)
 
 
 def test_commutator_defect_examples():
@@ -302,6 +310,8 @@ def test_apply_local_unitaries_basics():
         apply_local_unitaries(plus, [np.eye(2)])
     with pytest.raises(ValueError):
         apply_local_unitaries(plus, [np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(ValueError, match="factor 2 is not unitary"):
+        apply_local_unitaries(plus, [np.eye(2), np.full((2, 2), np.nan)])
 
 
 def test_bell_invariant_under_g_conjugate_g():

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from maxent.linalg import (
-    apply_single_site,
-    hermitian_eigenvalues_2x2,
-    partial_trace_single_site,
-)
+from maxent.linalg import apply_single_site, partial_trace_single_site
 
 import oracles
 
@@ -60,39 +56,3 @@ def test_partial_trace_rejects_raw_input_that_is_not_a_state():
         partial_trace_single_site(np.array([1.0, 0, 0]), 2, 1)
     with pytest.raises(ValueError, match="site"):
         partial_trace_single_site(np.array([1.0, 0, 0, 0]), 2, 3)
-
-
-def test_eigenvalues_match_lapack_on_random_hermitian():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = (z + z.conj().T) / 2
-        got = hermitian_eigenvalues_2x2(h)
-        want = np.linalg.eigvalsh(h)[::-1]
-        assert np.allclose(got, want, atol=1e-12)
-        assert got[0] >= got[1]
-
-
-def test_eigenvalues_accurate_near_degeneracy():
-    # Half-trace matrices with an O(1e-13) split: the naive discriminant
-    # tr^2 - 4 det would lose the split to cancellation at the 1e-8 scale.
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = np.eye(2) / 2 + 1e-13 * (z + z.conj().T)
-        got = hermitian_eigenvalues_2x2(h)
-        want = np.linalg.eigvalsh(h)[::-1]
-        assert np.allclose(got, want, atol=1e-15)
-
-
-def test_eigenvalues_reject_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues_2x2(np.array([[1j, 0.0], [0.0, 1.0]]))
-
-
-def test_eigenvalues_reject_wrong_shape():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues_2x2(np.eye(3))
-

@@ -308,6 +308,9 @@ def test_shot_record_rejects_counts_that_do_not_sum_to_shots():
     big = 2**63 - 1
     with pytest.raises(ValueError, match="sum to shots=10"):
         ShotRecord(bases=(3, 3), shots=10, binned=[big, big, 2, 10], seed=0)
+    # Zero counts do sum to zero shots, but every estimator would divide 0 by 0.
+    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
+        ShotRecord(bases=(3,), shots=0, binned=[0, 0])
 
 
 def test_shot_record_table_rows_are_in_symbol_order():
