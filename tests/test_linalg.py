@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxent.entanglement import site_marginals
 from maxent.linalg import apply_single_site, partial_trace_single_site
 
 import oracles
@@ -56,3 +57,17 @@ def test_partial_trace_rejects_raw_input_that_is_not_a_state():
         partial_trace_single_site(np.array([1.0, 0, 0]), 2, 1)
     with pytest.raises(ValueError, match="site"):
         partial_trace_single_site(np.array([1.0, 0, 0, 0]), 2, 3)
+
+
+def test_eigenvalues_accurate_near_degeneracy():
+    # Marginals rho = (I + b.sigma)/2 with |b| = O(1e-13): a discriminant
+    # tr^2 - 4 det would lose the split to cancellation at the 1e-8 scale,
+    # while site_marginals' (1 +- |b|)/2 keeps it.
+    rng = np.random.default_rng(5)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    for _ in range(50):
+        b = 1e-13 * rng.standard_normal(3)
+        h = (np.eye(2) + np.einsum("a,aij->ij", b, paulis)) / 2
+        got = site_marginals(b[None, :])[0][0]
+        want = np.linalg.eigvalsh(h)[::-1]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
