@@ -15,7 +15,6 @@ from .entanglement import (
     commutator_defect,
     constraint_check,
     criterion_check,
-    reduced_density,
     reduced_entropy,
     schmidt_coefficients,
     site_marginals,
@@ -27,7 +26,6 @@ from .measurement import (
     ShotRecord,
     axes_from_chars,
     born_probabilities,
-    correlation,
     correlation_matrices,
     correlation_matrix,
     empirical_correlation,
@@ -35,16 +33,13 @@ from .measurement import (
     empirical_moments,
     local_expectation,
     local_expectations,
-    local_variance,
     mutual_information,
     mutual_information_matrix,
-    pauli,
     sample_outcomes,
 )
 from .search import (
     ConstraintParams,
     SearchOutcome,
-    cost,
     generate_constrained,
     haar_random_state,
     haar_random_su2,
@@ -94,10 +89,8 @@ __all__ = [
     "born_probabilities",
     "commutator_defect",
     "constraint_check",
-    "correlation",
     "correlation_matrices",
     "correlation_matrix",
-    "cost",
     "criterion_check",
     "empirical_correlation",
     "empirical_expectation",
@@ -112,17 +105,14 @@ __all__ = [
     "haar_random_su2",
     "local_expectation",
     "local_expectations",
-    "local_variance",
     "multi_start",
     "mutual_information",
     "mutual_information_matrix",
     "optimize",
     "parse_state",
     "partial_trace_single_site",
-    "pauli",
     "random_constraint_params",
     "read_state_file",
-    "reduced_density",
     "reduced_entropy",
     "sample_outcomes",
     "schmidt_coefficients",

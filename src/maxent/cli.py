@@ -167,6 +167,9 @@ def _render_analysis(doc: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    # constraint_check's own test, run here so that every n rejects the option
+    if not args.constraint_tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
     if args.json:
@@ -398,6 +401,9 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
     record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
+    bases = args.bases.lower()  # axes_from_chars accepted exactly these x, y, z
+    counts, n = record.binned.tolist(), state.n_qubits
+    rows = [(_ket_label(k, n), counts[k]) for k in np.flatnonzero(record.binned).tolist()]
     means, products = (m.tolist() for m in empirical_moments(record))
     nats_table = mutual_information_matrix(record).tolist()
     expectations = [
@@ -419,22 +425,19 @@ def cmd_sample(args) -> int:
             nats = nats_table[i][j]
             infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
     if args.json:
-        counts = record.binned.tolist()
         doc = {
-            "bases": args.bases,
+            "bases": bases,
             "shots": record.shots,
             "seed": record.seed,
-            "counts": {
-                _ket_label(k, state.n_qubits): counts[k]
-                for k in np.flatnonzero(record.binned).tolist()
-            },
+            "counts": dict(rows),
             "expectations": expectations,
             "correlations": correlations,
             "mutual_information": infos,
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    lines = [record.to_table().rstrip("\n")]
+    lines = [f"bases={bases} seed={record.seed} shots={record.shots}"]
+    lines += (f"{label} {count}" for label, count in rows)
     for e in expectations:
         lines.append(
             f"site {e['site']} mean {_fmt(e['value'])}  std err {_fmt(e['std_err'])}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _apply_site, _check_site
-from .measurement import bloch_vector, local_expectations
+from .measurement import local_expectations
 from .states import State, as_coefficient_matrix
 
 CRITERION_TOL = 1e-9
@@ -52,12 +52,6 @@ def site_marginals(bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # r2 is a sum of the same squares, so r2 >= min(b2) in floating point too.
     defects = np.sqrt(2.0 * (r2 - b2.min(axis=1)))
     return eigenvalues, entropies, defects
-
-
-def reduced_density(state: State, site: int) -> np.ndarray:
-    """Single-site reduced density matrix (I + b.sigma)/2, a 2x2 Hermitian ndarray."""
-    x, y, z = bloch_vector(state, site)
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ STATE_NORM_TOL = 1e-9
 
 
 def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
-    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+    """A flat complex128 view or copy of a finite length-2^n vector, 1 <= n <= 8."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.size != 1 << n_qubits:
         raise ValueError(
             f"amplitude vector has length {amps.size}, expected {1 << n_qubits}"

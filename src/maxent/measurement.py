@@ -20,18 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import _apply_site, _check_site
-from .states import State, _ket_label
+from .states import State
 
 AXES = (1, 2, 3)
 
-AXIS_TO_CHAR = {1: "x", 2: "y", 3: "z"}
-CHAR_TO_AXIS = {c: a for a, c in AXIS_TO_CHAR.items()}
-
-_SIGMA = {
-    1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-}
+CHAR_TO_AXIS = {"x": 1, "y": 2, "z": 3}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -50,11 +43,6 @@ def _check_axis(axis: int) -> int:
     if axis not in AXES:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis
-
-
-def pauli(axis: int) -> np.ndarray:
-    """The 2x2 Pauli matrix for axis 1 (x), 2 (y) or 3 (z)."""
-    return _SIGMA[_check_axis(axis)].copy()
 
 
 @functools.cache
@@ -124,22 +112,10 @@ def local_expectation(state: State, site: int, axis: int) -> float:
     return float(local_expectations(state)[site - 1, _check_axis(axis) - 1])
 
 
-def local_variance(state: State, site: int, axis: int) -> float:
-    """Variance of a single-site Pauli measurement, 1 - expectation^2."""
-    e = local_expectation(state, site, axis)
-    return 1.0 - e * e
-
-
 def bloch_vector(state: State, site: int) -> np.ndarray:
     """The three local Pauli expectations of one site as a real 3-vector."""
     _check_site(state.n_qubits, site)
     return local_expectations(state)[site - 1]
-
-
-def correlation(state: State, site_a: int, axis_a: int, site_b: int, axis_b: int) -> float:
-    """Covariance of two single-site Pauli measurements on distinct sites."""
-    i, j = _check_axis(axis_a) - 1, _check_axis(axis_b) - 1
-    return float(correlation_matrix(state, site_a, site_b).t[i, j])
 
 
 @dataclass(frozen=True)
@@ -231,10 +207,6 @@ def axes_from_chars(text: str) -> tuple[int, ...]:
         raise ValueError(f"basis characters must be x, y or z, got {text!r}") from exc
 
 
-def chars_from_axes(bases) -> str:
-    return "".join(AXIS_TO_CHAR[a] for a in bases)
-
-
 def _bits(n_qubits: int) -> np.ndarray:
     """Outcome table: entry [k, i] is 1 where site i+1 reads -1 in outcome k, else 0."""
     return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
@@ -283,16 +255,6 @@ class ShotRecord:
         """Outcome tuples in {+1, -1}^n mapped to their nonzero counts."""
         signs = 1 - 2 * _bits(len(self.bases))
         return {tuple(signs[k].tolist()): int(self.binned[k]) for k in np.flatnonzero(self.binned)}
-
-    def to_table(self) -> str:
-        """Text table: a header line, then 'outcome count' rows.
-
-        Rows follow the outcome index, which is symbol order with + before -.
-        """
-        header = f"bases={chars_from_axes(self.bases)} seed={self.seed} shots={self.shots}"
-        n, counts = len(self.bases), self.binned.tolist()
-        rows = (f"{_ket_label(k, n)} {counts[k]}" for k in np.flatnonzero(self.binned).tolist())
-        return "\n".join([header, *rows]) + "\n"
 
 
 def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:

@@ -130,17 +130,12 @@ def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.
 
 
 def cost_raw(psi: np.ndarray, n_qubits: int) -> float:
-    """Sum of squared local expectations, Rayleigh-normalized."""
-    e = _local_expectations_raw(psi, n_qubits)
-    return float(np.sum(e * e))
-
-
-def cost(state: State) -> float:
-    """Sum over all sites and axes of the squared local Pauli expectation.
+    """Sum of squared local expectations, Rayleigh-normalized.
 
     Zero exactly on the maximally entangled states; at most n overall.
     """
-    return cost_raw(state.amplitudes, state.n_qubits)
+    e = _local_expectations_raw(psi, n_qubits)
+    return float(np.sum(e * e))
 
 
 def cost_gradient_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, STATE_NORM_TOL
+from .linalg import MAX_QUBITS, STATE_NORM_TOL, _require_amplitudes
 
 INGEST_NORM_FLOOR = 1e-12
 
@@ -75,23 +75,15 @@ class State:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
-        if amps.size != 1 << self.n_qubits:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {1 << self.n_qubits}"
-            )
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-            raise ValueError("amplitudes contain non-finite entries")
+        amps = _require_amplitudes(self.amplitudes, self.n_qubits)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 beyond 1e-9; "
                 "use from_amplitudes to normalize arbitrary input"
             )
-        if abs(norm - 1.0) > _EXACT_NORM_WINDOW:
-            amps = amps / norm
+        # Either branch makes the copy that is stored, never the caller's array.
+        amps = amps / norm if abs(norm - 1.0) > _EXACT_NORM_WINDOW else amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -7,9 +7,10 @@ import pytest
 
 from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
+from maxent.measurement import local_expectations
 from maxent.search import haar_random_state
 from maxent.statefile import read_state_file, write_state_file
-from maxent.states import example_state
+from maxent.states import example_state, from_amplitudes
 
 LN2 = math.log(2.0)
 
@@ -126,6 +127,17 @@ def test_non_finite_float_options_are_usage_errors(argv, capsys, tmp_path):
     assert "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_analyze_rejects_a_non_positive_constraint_tol_for_every_n(tol, capsys, tmp_path):
+    for family in (("epr", "--kind", "varphi"), ("ghz",)):
+        path = str(tmp_path / f"{family[0]}.txt")
+        assert main(["generate", *family, "--out", path]) == 0
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "analyze", path, "--constraint-tol", tol, *extra)
+            assert (code, out) == (2, "")
+            assert err == f"error: tolerance must be positive, got {float(tol)}\n"
+
+
 def test_analyze_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("format: maxent-state/1\nn_qubits: 2\namplitudes:\n1 0\nbroken\n0 0\n0 0\n")
@@ -159,7 +171,11 @@ def test_analyze_site_fields_equal_the_library_entries(capsys, tmp_path):
         state, _ = read_state_file(path)
         code, out, _ = run(capsys, "analyze", path, "--json")
         assert code == 0
+        bloch = local_expectations(state).tolist()
         for row in json.loads(out)["sites"]:
+            b = bloch[row["site"] - 1]
+            assert list(row["expectations"].values()) == b
+            assert list(row["variances"].values()) == [1.0 - e * e for e in b]
             rep = reduced_entropy(state, row["site"])
             assert row["entropy_nats"] == rep.entropy_nats
             assert row["entropy_bits"] == rep.entropy_nats / LN2
@@ -264,6 +280,11 @@ def test_sample_bell_table_and_summary(capsys, tmp_path):
     symbols = {line.split()[0] for line in lines[1:3]}
     assert symbols == {"++", "--"}
     assert "mutual information" in out
+    # upper-case bases are read, and reported, as their lower-case form
+    assert run(capsys, "sample", path, "--bases", "ZZ", "--shots", "20000", "--seed", "3") == (0, out, "")
+    _, lower, _ = run(capsys, "sample", path, "--bases", "zz", "--shots", "20000", "--json")
+    code, upper, _ = run(capsys, "sample", path, "--bases", "Zz", "--shots", "20000", "--json")
+    assert code == 0 and upper == lower and json.loads(upper)["bases"] == "zz"
 
 
 def test_sample_ghz_rows(capsys, tmp_path):
@@ -316,6 +337,22 @@ def test_sample_shot_counts_beyond_memory_and_beyond_int64(capsys, tmp_path):
     code, out, err = run(capsys, "sample", path, "--bases", "zzz", "--shots", str(10**20))
     assert (code, out) == (2, "")
     assert err == f"error: shots must be <= 2**63 - 1, got {10**20}\n"
+
+
+def test_sample_text_rows_match_the_json_counts(capsys, tmp_path):
+    # |+...+> read in x has all 2^n outcomes equally likely, so every row shows.
+    for n in range(1, 9):
+        path = str(tmp_path / f"plus{n}.txt")
+        write_state_file(path, from_amplitudes(np.eye(1 << n)[0]), None)
+        argv = ("sample", path, "--bases", "x" * n, "--shots", "1000000", "--seed", str(n))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1 : (1 << n) + 1]]
+        labels = [label for label, _count in rows]
+        assert len(set(labels)) == 1 << n and labels == sorted(labels)
+        assert all(len(label) == n and set(label) <= set("+-") for label in labels)
+        counts = json.loads(run(capsys, *argv, "--json")[1])["counts"]
+        assert list(counts.items()) == [(label, int(count)) for label, count in rows]
 
 
 def test_sample_deterministic_output(capsys, tmp_path):

