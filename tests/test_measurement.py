@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxent.cli import _analysis_document
 from maxent.linalg import partial_trace_single_site
 from maxent.measurement import (
     AXES,
@@ -97,6 +98,23 @@ def test_local_expectation_agrees_with_density_route():
                 assert local_expectation(st, site, axis) == pytest.approx(
                     via_rho, abs=1e-12
                 )
+
+
+def test_local_variance_identity():
+    # analyze reports each site's Pauli variance as 1 - e^2; check that against
+    # the dense <sigma^2> - <sigma>^2 of the same measurement.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        st = _random_state(rng, 2)
+        rows = _analysis_document(st, None, 1e-9, 1e-6)["sites"]
+        for site in (1, 2):
+            variances = rows[site - 1]["variances"]
+            for axis, c in zip(AXES, "xyz"):
+                square = oracles.site_operator(2, site, oracles.SIGMA[axis] @ oracles.SIGMA[axis])
+                second = float(np.vdot(st.amplitudes, square @ st.amplitudes).real)
+                e = oracles.expectation(st.amplitudes, 2, site, axis)
+                assert variances[c] == pytest.approx(second - e * e, abs=1e-12)
+                assert variances[c] == 1.0 - local_expectation(st, site, axis) ** 2
 
 
 def test_bloch_vector_stacks_expectations():
