@@ -259,9 +259,7 @@ def cmd_search(args) -> int:
                 }
                 for k, o in enumerate(outcomes, start=1)
             ],
-            "best_amplitudes": [
-                [float(z.real), float(z.imag)] for z in best.state.amplitudes
-            ],
+            "best_amplitudes": best.state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -472,6 +470,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for every --seed: a negative or non-integer seed exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The whole argument tree; built once, at import, into ``_PARSER``."""
     parser = argparse.ArgumentParser(
@@ -511,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--delta", type=_finite_float, default=0.0)
     f.add_argument("--branch", choices=["+pi", "-pi"], default="+pi")
     f.add_argument("--random", action="store_true", help="draw parameters from --seed")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_seed, default=0)
 
     f = fam.add_parser("example", help="named states used throughout the tests")
     f.add_argument("--name", choices=list(EXAMPLE_STATE_NAMES), required=True)
@@ -525,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--out", default=None, help="write the best state here")
     p.add_argument("--json", action="store_true")
@@ -533,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--constraint-tol", type=_finite_float, default=1e-6)
     p.add_argument(
@@ -549,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--bases", required=True, help="one of x, y, z per qubit, e.g. zz")
     p.add_argument("--shots", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
     return parser

@@ -69,21 +69,47 @@ def _image_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _pauli_images(psi: np.ndarray, n_qubits: int) -> np.ndarray:
-    """V, the 3n Pauli images of a vector, by one gather.
+@functools.lru_cache(maxsize=32)
+def _stack_index(n_qubits: int, rows: int) -> np.ndarray:
+    """Flat gather index, (rows, 3n, 2^n), of the images of every row of a stack.
 
-    Row 3(site - 1) + axis - 1 is psi with sigma_axis applied at site.
+    One flat gather of a C-ordered (rows, 2^n) stack is faster than indexing
+    its second axis with the (3n, 2^n) permutation table. A table is half the
+    size of the images it gathers; the cache is bounded because the row
+    count of a search batch shrinks as its starts finish.
+    """
+    perm, _ = _image_tables(n_qubits)
+    index = perm + (perm.shape[1] * np.arange(rows))[:, None, None]
+    index.setflags(write=False)
+    return index
+
+
+def _pauli_images(psi: np.ndarray, n_qubits: int) -> np.ndarray:
+    """V, the 3n Pauli images of a vector or of each row of a stack, by one gather.
+
+    Row 3(site - 1) + axis - 1 is psi with sigma_axis applied at site; a
+    (k, 2^n) stack gives (k, 3n, 2^n). The phases are +-1 and +-i, so the
+    products are exact.
     """
     perm, phase = _image_tables(n_qubits)
-    return phase * psi[perm]
+    if psi.ndim == 1:
+        images = psi[perm]
+    else:
+        images = np.ravel(psi)[_stack_index(n_qubits, psi.shape[0])]
+    images *= phase
+    return images
 
 
-def _image_expectations(images: np.ndarray, psi: np.ndarray, norm_sq: float) -> np.ndarray:
-    """Re<psi|V_r>/<psi|psi> for every row r of the images, as a flat (3n,) array.
+def _image_expectations(images: np.ndarray, psi: np.ndarray, norm_sq) -> np.ndarray:
+    """Re<psi|V_r>/<psi|psi> for every row r of the images: (3n,), or (k, 3n) for a stack.
 
     Real products of the float64 views: Re(a conj(b)) = Re a Re b + Im a Im b.
+    For a stack, norm_sq is the (k, 1) column of squared norms; numpy runs
+    the product slice by slice as the same matrix-vector call as for one
+    vector, so every slice has the bits of the unstacked result.
     """
-    return images.view(np.float64) @ psi.view(np.float64) / norm_sq
+    real = images.view(np.float64) @ psi.view(np.float64)[..., None]
+    return real[..., 0] / norm_sq
 
 
 def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_QUBITS
-from .measurement import _image_expectations, _local_expectations_raw, _pauli_images
+from .measurement import _image_expectations, _pauli_images
 from .states import State
 
 _HALF = 0.5
@@ -112,8 +112,23 @@ def haar_random_su2(seed) -> np.ndarray:
     return q / np.sqrt(np.linalg.det(q))
 
 
-def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3n residuals e (the expectations, site-major) and their Jacobian.
+def _images(psi: np.ndarray, n_qubits: int):
+    """(<psi|psi>, V, e) of a vector, or of each row of a (k, 2^n) stack.
+
+    V holds the 3n Pauli images and e the 3n Rayleigh-normalized
+    expectations, site-major. The squared norms take one vdot per row: a
+    stacked reduction would sum in another order and move the last bits.
+    """
+    if psi.ndim == 1:
+        nn = np.vdot(psi, psi).real
+    else:
+        nn = np.array([np.vdot(row, row).real for row in psi])
+    images = _pauli_images(psi, n_qubits)
+    return nn, images, _image_expectations(images, psi, nn[..., None])
+
+
+def _jacobian(psi: np.ndarray, nn, images: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The Jacobian of the residuals e, made in place from the images.
 
     Row k of the complex W is 2(sigma_k psi - e_k psi)/<psi|psi>, the
     gradient of e_k packed like cost_gradient_raw. It is returned viewed as
@@ -121,12 +136,15 @@ def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.
     J J^T = Re(W W^H) and J^T y viewed as complex is W^T y. Real products
     also keep these small matrices off multithreaded complex BLAS calls.
     """
-    nn = np.vdot(psi, psi).real
-    w = _pauli_images(psi, n_qubits)
-    e = _image_expectations(w, psi, nn)
-    w -= e[:, None] * psi
-    w *= 2.0 / nn
-    return e, w.view(np.float64)
+    images -= e[..., None] * psi[..., None, :]
+    images *= (2.0 / nn)[..., None, None]
+    return images.view(np.float64)
+
+
+def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3n residuals e (the expectations, site-major) and their Jacobian."""
+    nn, images, e = _images(psi, n_qubits)
+    return e, _jacobian(psi, nn, images, e)
 
 
 def cost_raw(psi: np.ndarray, n_qubits: int) -> float:
@@ -134,8 +152,8 @@ def cost_raw(psi: np.ndarray, n_qubits: int) -> float:
 
     Zero exactly on the maximally entangled states; at most n overall.
     """
-    e = _local_expectations_raw(psi, n_qubits)
-    return float(np.sum(e * e))
+    e = _images(psi, n_qubits)[2]
+    return float((e * e).sum())
 
 
 def cost_gradient_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -185,67 +203,145 @@ def optimize(
     seeded random tangent kicks are tried under the same rule; if all fail
     the run stops "stuck". Running out of max_iter is not an error either.
     """
+    return _descend(initial.n_qubits, [initial.amplitudes], tol, max_iter, [seed])[0]
+
+
+@dataclass(slots=True)
+class _Run:
+    """One start's iterate and counters while a batch descends."""
+
+    seed: int
+    psi: np.ndarray
+    cost: float
+    iterations: int = 0
+    escapes: int = 0
+    evals: int = 1
+    rng: np.random.Generator | None = None
+    stuck: bool = False
+
+    def offer(self, cand: np.ndarray, cost: float, kicked: bool) -> bool:
+        """Count one cost evaluation; take the candidate if it lowers the cost."""
+        self.evals += 1
+        if not cost < self.cost:
+            return False
+        self.psi, self.cost = cand, cost
+        self.iterations += 1
+        self.escapes += kicked
+        return True
+
+
+def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOutcome]:
+    """Run :func:`optimize` from every start at once, in lockstep.
+
+    Each round stacks the live starts and makes one Jacobian, one J J^T
+    product and one mu = 0 solve for all of them, then costs every first
+    candidate by one gather; an accepted candidate's images and
+    expectations are the next round's. A start whose first candidate
+    fails, or whose J J^T is exactly singular (numpy's stacked solve then
+    raises for the whole stack, so the round goes start by start), finishes
+    its iteration alone on the damping ladder and the kicks. Every slice
+    runs the same BLAS and LAPACK calls as a single start would, so each
+    outcome is bit-identical to optimize's on that start alone.
+    """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    n = initial.n_qubits
-    psi = initial.amplitudes.copy()
-    current = cost_raw(psi, n)
-    rng = np.random.default_rng(seed)
-    iterations = escapes = 0
-    evals = 1
-    while current > tol and iterations < max_iter:
-        for cand, kicked in _candidates(psi, n, rng):
-            c = cost_raw(cand, n)
-            evals += 1
-            if c < current:
-                break
-        else:
+    x = np.array(starts, dtype=np.complex128)
+    nn, images, e = _images(x, n)
+    runs = [_Run(seed, psi, c) for seed, psi, c in zip(seeds, x, (e * e).sum(axis=1).tolist())]
+    live, stacked = runs, True
+    while True:
+        still = [r for r in live if r.cost > tol and r.iterations < max_iter and not r.stuck]
+        if not still:
             break
-        psi, current = cand, c
-        escapes += kicked
-        iterations += 1
-    return SearchOutcome(
-        state=State(n_qubits=n, amplitudes=psi),
-        final_cost=current,
-        iterations=iterations,
-        converged=current <= tol,
-        seed=seed,
-        stop_reason=(
-            "converged" if current <= tol else "max_iter" if iterations == max_iter else "stuck"
-        ),
-        cost_evals=evals,
-        escapes=escapes,
-    )
+        if not stacked or len(still) < len(live):
+            x = np.array([r.psi for r in still])
+            nn, images, e = _images(x, n)
+        live = still
+        jac = _jacobian(x, nn, images, e)
+        jjt = jac @ jac.transpose(0, 2, 1)
+        floors = _DAMPING_FLOOR * jjt.diagonal(0, 1, 2).sum(axis=1) / e.shape[1]
+        try:
+            y = np.linalg.solve(jjt, e[..., None])
+        except np.linalg.LinAlgError:
+            # Raised for the whole stack: each start retries its own mu = 0
+            # step, unless it was alone and so is the one found singular.
+            tried = len(live) == 1
+            taken = [False] * len(live)
+        else:
+            tried = True
+            cand = x - (y.transpose(0, 2, 1) @ jac)[:, 0].view(np.complex128)
+            for row in cand:
+                row /= np.linalg.norm(row)
+            cand_nn, cand_images, cand_e = _images(cand, n)
+            costs = (cand_e * cand_e).sum(axis=1).tolist()
+            taken = [r.offer(c, cost, False) for r, c, cost in zip(live, cand, costs)]
+        for k, r in enumerate(live):
+            if not taken[k]:
+                r.stuck = not _finish_iteration(r, x[k], e[k], jac[k], jjt[k], floors[k], n, tried)
+        # When every start took its batched candidate, its images are the next round's.
+        stacked = all(taken)
+        if stacked:
+            x, nn, images, e = cand, cand_nn, cand_images, cand_e
+    return [
+        SearchOutcome(
+            state=State(n_qubits=n, amplitudes=r.psi),
+            final_cost=r.cost,
+            iterations=r.iterations,
+            converged=r.cost <= tol,
+            seed=r.seed,
+            stop_reason=(
+                "converged" if r.cost <= tol
+                else "max_iter" if r.iterations == max_iter
+                else "stuck"
+            ),
+            cost_evals=r.evals,
+            escapes=r.escapes,
+        )
+        for r in runs
+    ]
 
 
-def _candidates(psi: np.ndarray, n_qubits: int, rng):
-    """Yield (unit candidate, is_kick): damped Gauss-Newton steps, then kicks.
+def _finish_iteration(run, psi, e, jac, jjt, floor, n_qubits, tried) -> bool:
+    """One start's iteration after its batched step failed: damped steps, then kicks.
 
     The damping mu starts at 0 and after each rejected step becomes
-    max(1e-3 tr(J J^T)/3n, 10 mu); kicks are random tangent directions.
+    max(1e-3 tr(J J^T)/3n, 10 mu); the mu = 0 step is skipped when the batch
+    already tried it. Kicks are random tangent directions from the start's
+    own generator, built at its first kick. Returns whether one was taken.
     """
-    e, jac = _residuals_jacobian(psi, n_qubits)
-    jjt = jac @ jac.T
-    floor = _DAMPING_FLOOR * np.trace(jjt) / e.size
     mu = 0.0
-    for _ in range(_DAMPING_TRIES):
-        try:
-            y = np.linalg.solve(jjt + mu * np.eye(e.size), e)
-        except np.linalg.LinAlgError:  # exactly singular J J^T, only at mu = 0
-            pass
-        else:
-            cand = psi - (y @ jac).view(np.complex128)
-            yield cand / np.linalg.norm(cand), False
+    for t in range(_DAMPING_TRIES):
+        if t or not tried:
+            try:
+                y = np.linalg.solve(jjt + mu * np.eye(e.size), e)
+            except np.linalg.LinAlgError:  # exactly singular J J^T, only at mu = 0
+                pass
+            else:
+                cand = psi - (y @ jac).view(np.complex128)
+                cand /= np.linalg.norm(cand)
+                if run.offer(cand, cost_raw(cand, n_qubits), False):
+                    return True
         mu = max(floor, 10.0 * mu)
+    if run.rng is None:
+        run.rng = np.random.default_rng(run.seed)
+    rng = run.rng
     for _ in range(_ESCAPE_DIRECTIONS):
         d = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
         d -= np.vdot(psi, d) * psi
         d /= np.linalg.norm(d)
         for eps in _ESCAPE_SIZES:
             cand = psi + eps * d
-            yield cand / np.linalg.norm(cand), True
+            cand /= np.linalg.norm(cand)
+            if run.offer(cand, cost_raw(cand, n_qubits), True):
+                return True
+    return False
+
+
+# Bytes of Pauli images one lockstep batch may hold: all 4 starts of a
+# search up to n = 5, one start at a time at n = 8.
+_IMAGE_BUDGET = 128 << 10
 
 
 def multi_start(
@@ -258,15 +354,18 @@ def multi_start(
     """Independent optimizer runs from random starts, best (lowest cost) first.
 
     Per-start seeds are derived words of a single seed sequence, so the
-    result is identical however the starts are scheduled.
+    result is identical however the starts are scheduled. The starts descend
+    in lockstep batches of as many as fit the image budget (3n complex
+    images of 2^n amplitudes each).
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
+    seeds = [int(word) for word in words]
+    initial = [haar_random_state(n, s).amplitudes for s in seeds]
+    batch = max(1, _IMAGE_BUDGET // (48 * n << n))
     outcomes = []
-    for word in words:
-        start_seed = int(word)
-        initial = haar_random_state(n, start_seed)
-        outcomes.append(optimize(initial, tol, max_iter=max_iter, seed=start_seed))
+    for lo in range(0, starts, batch):
+        outcomes += _descend(n, initial[lo:lo + batch], tol, max_iter, seeds[lo:lo + batch])
     outcomes.sort(key=lambda o: o.final_cost)
     return outcomes

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .linalg import MAX_QUBITS
 from .states import State, from_amplitudes
 
@@ -49,8 +51,8 @@ def format_state(state: State, label: str | None = None) -> str:
             raise ValueError("label must be nonempty without surrounding whitespace")
         lines.append(f"label: {label}")
     lines.append("amplitudes:")
-    for z in state.amplitudes:
-        lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
+    flat = state.amplitudes.view(np.float64).tolist()
+    lines += [f"{re!r} {im!r}" for re, im in zip(flat[0::2], flat[1::2])]
     return "\n".join(lines) + "\n"
 
 

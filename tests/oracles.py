@@ -181,3 +181,106 @@ def mutual_information(counts: dict, shots: int, site_a: int, site_b: int) -> fl
         if p > 0.0:
             mi += p * math.log(p / (p_a[xa] * p_b[xb]))
     return mi
+
+
+# ------------------------------------------------- serial search reference
+#
+# The optimizer as it ran before its starts moved into lockstep batches: one
+# start at a time, every candidate costed alone, with the unstacked kernels
+# (one gather phase * psi[perm], one matrix-vector product). The package
+# must reproduce it bit for bit.
+
+
+def _serial_residuals_jacobian(psi: np.ndarray, n_qubits: int):
+    from maxent.measurement import _image_tables
+
+    perm, phase = _image_tables(n_qubits)
+    nn = np.vdot(psi, psi).real
+    w = phase * psi[perm]
+    e = w.view(np.float64) @ psi.view(np.float64) / nn
+    w -= e[:, None] * psi
+    w *= 2.0 / nn
+    return e, w.view(np.float64)
+
+
+def serial_cost(psi: np.ndarray, n_qubits: int) -> float:
+    from maxent.measurement import _image_tables
+
+    perm, phase = _image_tables(n_qubits)
+    nn = np.vdot(psi, psi).real
+    e = (phase * psi[perm]).view(np.float64) @ psi.view(np.float64) / nn
+    e = e.reshape(n_qubits, 3)
+    return float(np.sum(e * e))
+
+
+def serial_optimize(initial, tol: float, max_iter: int, seed: int):
+    from maxent.search import SearchOutcome
+    from maxent.states import State
+
+    n = initial.n_qubits
+    psi = initial.amplitudes.copy()
+    current = serial_cost(psi, n)
+    rng = np.random.default_rng(seed)
+    iterations = escapes = 0
+    evals = 1
+    while current > tol and iterations < max_iter:
+        for cand, kicked in _serial_candidates(psi, n, rng):
+            c = serial_cost(cand, n)
+            evals += 1
+            if c < current:
+                break
+        else:
+            break
+        psi, current = cand, c
+        escapes += kicked
+        iterations += 1
+    return SearchOutcome(
+        state=State(n_qubits=n, amplitudes=psi),
+        final_cost=current,
+        iterations=iterations,
+        converged=current <= tol,
+        seed=seed,
+        stop_reason=(
+            "converged" if current <= tol else "max_iter" if iterations == max_iter else "stuck"
+        ),
+        cost_evals=evals,
+        escapes=escapes,
+    )
+
+
+def _serial_candidates(psi: np.ndarray, n_qubits: int, rng):
+    from maxent import search
+
+    e, jac = _serial_residuals_jacobian(psi, n_qubits)
+    jjt = jac @ jac.T
+    floor = search._DAMPING_FLOOR * np.trace(jjt) / e.size
+    mu = 0.0
+    for _ in range(search._DAMPING_TRIES):
+        try:
+            y = np.linalg.solve(jjt + mu * np.eye(e.size), e)
+        except np.linalg.LinAlgError:  # exactly singular J J^T, only at mu = 0
+            pass
+        else:
+            cand = psi - (y @ jac).view(np.complex128)
+            yield cand / np.linalg.norm(cand), False
+        mu = max(floor, 10.0 * mu)
+    for _ in range(search._ESCAPE_DIRECTIONS):
+        d = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
+        d -= np.vdot(psi, d) * psi
+        d /= np.linalg.norm(d)
+        for eps in search._ESCAPE_SIZES:
+            cand = psi + eps * d
+            yield cand / np.linalg.norm(cand), True
+
+
+def serial_multi_start(n: int, starts: int, tol: float, seed: int, max_iter: int):
+    from maxent.search import haar_random_state
+
+    words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
+    outcomes = []
+    for word in words:
+        start_seed = int(word)
+        initial = haar_random_state(n, start_seed)
+        outcomes.append(serial_optimize(initial, tol, max_iter=max_iter, seed=start_seed))
+    outcomes.sort(key=lambda o: o.final_cost)
+    return outcomes

@@ -127,6 +127,28 @@ def test_non_finite_float_options_are_usage_errors(argv, capsys, tmp_path):
     assert "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--n", "2", "--starts", "1"),
+        ("sample", "{path}", "--bases", "zz"),
+        ("generate", "constrained", "--random"),
+        ("verify", "--trials", "1"),
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_bad_seed_is_a_usage_error_naming_option_and_value(argv, seed, capsys, tmp_path):
+    path = tmp_path / "bell.txt"
+    assert main(["generate", "epr", "--kind", "varphi", "--out", str(path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*(a.format(path=path) for a in argv), "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1"])
 def test_analyze_rejects_a_non_positive_constraint_tol_for_every_n(tol, capsys, tmp_path):
     for family in (("epr", "--kind", "varphi"), ("ghz",)):

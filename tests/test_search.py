@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from maxent.entanglement import (
     reduced_entropy,
 )
 from maxent.measurement import local_expectations
+from maxent import search
 from maxent.search import (
+    DEFAULT_MAX_ITER,
     ConstraintParams,
     SearchOutcome,
     _residuals_jacobian,
@@ -237,6 +240,9 @@ def test_optimize_and_multi_start_reject_nan_and_negative_tol(tol):
 def test_multi_start_contract():
     with pytest.raises(ValueError):
         multi_start(2, 0, 1e-12, seed=1)
+    for n in (0, 9):  # the batch size is worked out from n only after n is checked
+        with pytest.raises(ValueError, match="n must be in"):
+            multi_start(n, 2, 1e-12, seed=1)
     single = multi_start(2, 1, 1e-12, seed=1)
     assert len(single) == 1 and isinstance(single[0], SearchOutcome)
 
@@ -311,3 +317,75 @@ def test_optimize_escapes_four_qubit_product_state():
     assert out.converged and out.escapes >= 1
     for site in range(1, 5):
         assert abs(reduced_entropy(out.state, site).entropy_nats - LN2) <= 1e-6
+
+
+def assert_same_outcomes(got, want):
+    """Every SearchOutcome field equal, the amplitudes and costs to the bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(SearchOutcome):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "state":
+                assert x.n_qubits == y.n_qubits
+                assert x.amplitudes.tobytes() == y.amplitudes.tobytes()
+            elif field.name == "final_cost":
+                assert x.hex() == y.hex()
+            else:
+                assert x == y and type(x) is type(y), field.name
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_multi_start_matches_serial_reference(n):
+    # lockstep batches: all 4 starts up to n = 6, 3 + 1 at n = 7, 1 at a time at n = 8
+    for seed in range(3 if n < 8 else 1):
+        want = oracles.serial_multi_start(n, 4, 1e-12, seed, DEFAULT_MAX_ITER)
+        assert_same_outcomes(multi_start(n, 4, 1e-12, seed), want)
+    starved = multi_start(n, 4, 1e-12, 7, max_iter=2)
+    assert_same_outcomes(starved, oracles.serial_multi_start(n, 4, 1e-12, 7, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multi_start_stuck_runs_match_serial_reference(n):
+    # at tol 1e-60 every run ends on the damping ladder and 128 failed kicks
+    got = multi_start(n, 4, 1e-60, 3)
+    assert {o.stop_reason for o in got} == {"stuck"}
+    assert_same_outcomes(got, oracles.serial_multi_start(n, 4, 1e-60, 3, DEFAULT_MAX_ITER))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lockstep_batch_with_product_state_matches_serial_reference(n):
+    # |0...0> has zero gradient, so its start leaves only by kicks while the
+    # Haar starts beside it take batched steps
+    zero = from_amplitudes([1.0] + [0.0] * ((1 << n) - 1))
+    initial = [zero, haar_random_state(n, 1), zero, haar_random_state(n, 2)]
+    seeds = [11, 12, 13, 14]
+    got = search._descend(n, [s.amplitudes for s in initial], 1e-12, DEFAULT_MAX_ITER, seeds)
+    want = [
+        oracles.serial_optimize(s, 1e-12, DEFAULT_MAX_ITER, seed)
+        for s, seed in zip(initial, seeds)
+    ]
+    assert_same_outcomes(got, want)
+    assert got[0].escapes >= 1 and got[2].escapes >= 1
+
+
+def test_lockstep_singular_stack_falls_back_per_start(monkeypatch):
+    # At n = 2, J J^T has rank <= 5 of 6 (|b_1| = |b_2|), and LAPACK sometimes
+    # finds it exactly singular: numpy's stacked solve then raises for the
+    # whole batch and every start of that round goes on alone from mu = 0.
+    unsolved = []
+    finish = search._finish_iteration
+
+    def spy(run, psi, e, jac, jjt, floor, n_qubits, tried):
+        unsolved.append(not tried)
+        return finish(run, psi, e, jac, jjt, floor, n_qubits, tried)
+
+    monkeypatch.setattr(search, "_finish_iteration", spy)
+    for seed in range(4):
+        want = oracles.serial_multi_start(2, 4, 1e-12, seed, DEFAULT_MAX_ITER)
+        assert_same_outcomes(multi_start(2, 4, 1e-12, seed), want)
+    assert any(unsolved)
+    # alone, a start whose solve raised goes straight to the damped steps
+    for seed in range(8):
+        initial = haar_random_state(2, seed)
+        want = oracles.serial_optimize(initial, 1e-12, DEFAULT_MAX_ITER, seed)
+        assert_same_outcomes([optimize(initial, 1e-12, seed=seed)], [want])
