@@ -13,6 +13,7 @@ and saddles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +203,11 @@ def optimize(
     damped step helps (exact critical point, where J^T e = 0, or rounding),
     seeded random tangent kicks are tried under the same rule; if all fail
     the run stops "stuck". Running out of max_iter is not an error either.
+    The seed must be a non-negative integer; the kick generator is built
+    from it only when a first kick is needed.
     """
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return _descend(initial.n_qubits, [initial.amplitudes], tol, max_iter, [seed])[0]
 
 

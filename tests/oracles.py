@@ -2,7 +2,9 @@
 
 Everything here builds full 2^n x 2^n operators with np.kron or walks
 amplitude indices bit by bit, deliberately avoiding the reshape and
-einsum shortcuts used by the package, so the two sides can disagree.
+einsum shortcuts used by the package, so the two sides can disagree. The
+one exception is the serial search reference at the end, which keeps the
+optimizer's arithmetic and changes only its schedule.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from maxent import search
+from maxent.measurement import _image_tables
+from maxent.states import State
 
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -192,8 +198,6 @@ def mutual_information(counts: dict, shots: int, site_a: int, site_b: int) -> fl
 
 
 def _serial_residuals_jacobian(psi: np.ndarray, n_qubits: int):
-    from maxent.measurement import _image_tables
-
     perm, phase = _image_tables(n_qubits)
     nn = np.vdot(psi, psi).real
     w = phase * psi[perm]
@@ -204,8 +208,6 @@ def _serial_residuals_jacobian(psi: np.ndarray, n_qubits: int):
 
 
 def serial_cost(psi: np.ndarray, n_qubits: int) -> float:
-    from maxent.measurement import _image_tables
-
     perm, phase = _image_tables(n_qubits)
     nn = np.vdot(psi, psi).real
     e = (phase * psi[perm]).view(np.float64) @ psi.view(np.float64) / nn
@@ -214,9 +216,6 @@ def serial_cost(psi: np.ndarray, n_qubits: int) -> float:
 
 
 def serial_optimize(initial, tol: float, max_iter: int, seed: int):
-    from maxent.search import SearchOutcome
-    from maxent.states import State
-
     n = initial.n_qubits
     psi = initial.amplitudes.copy()
     current = serial_cost(psi, n)
@@ -234,7 +233,7 @@ def serial_optimize(initial, tol: float, max_iter: int, seed: int):
         psi, current = cand, c
         escapes += kicked
         iterations += 1
-    return SearchOutcome(
+    return search.SearchOutcome(
         state=State(n_qubits=n, amplitudes=psi),
         final_cost=current,
         iterations=iterations,
@@ -249,8 +248,6 @@ def serial_optimize(initial, tol: float, max_iter: int, seed: int):
 
 
 def _serial_candidates(psi: np.ndarray, n_qubits: int, rng):
-    from maxent import search
-
     e, jac = _serial_residuals_jacobian(psi, n_qubits)
     jjt = jac @ jac.T
     floor = search._DAMPING_FLOOR * np.trace(jjt) / e.size
@@ -274,13 +271,11 @@ def _serial_candidates(psi: np.ndarray, n_qubits: int, rng):
 
 
 def serial_multi_start(n: int, starts: int, tol: float, seed: int, max_iter: int):
-    from maxent.search import haar_random_state
-
     words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
     outcomes = []
     for word in words:
         start_seed = int(word)
-        initial = haar_random_state(n, start_seed)
+        initial = search.haar_random_state(n, start_seed)
         outcomes.append(serial_optimize(initial, tol, max_iter=max_iter, seed=start_seed))
     outcomes.sort(key=lambda o: o.final_cost)
     return outcomes

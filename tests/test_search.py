@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from maxent import search
 from maxent.entanglement import (
     LN2,
     constraint_check,
@@ -11,7 +12,6 @@ from maxent.entanglement import (
     reduced_entropy,
 )
 from maxent.measurement import local_expectations
-from maxent import search
 from maxent.search import (
     DEFAULT_MAX_ITER,
     ConstraintParams,
@@ -227,6 +227,11 @@ def test_optimize_validates_arguments():
         optimize(st, tol=0.0)
     with pytest.raises(ValueError):
         optimize(st, tol=1e-9, max_iter=-1)
+    # checked up front, although the kick generator is built only at a first kick
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        optimize(st, tol=1e-9, seed=-1)
+    with pytest.raises(TypeError):
+        optimize(st, tol=1e-9, seed=np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -math.inf, -1e-12])
