@@ -1,11 +1,12 @@
 """Local Pauli observables, correlations, and a Born-rule shot sampler.
 
 Axes are numbered 1, 2, 3 for the x, y, z Pauli operators in the |+>, |->
-basis. One kernel gathers V, the 3n Pauli images sigma_a^i psi, from cached
-index and phase tables. Every local expectation (:func:`local_expectations`,
-which :mod:`maxent.search` also runs on unnormalized vectors, along with its
-Jacobian) is a projection of V onto psi, and every pair's correlations
-(:func:`correlation_matrices`) come from one Gram product of V. The tests
+basis. One kernel, ``_images``, gathers V, the 3n Pauli images sigma_a^i psi,
+from cached index and phase tables and projects V onto psi. Those
+projections are every local expectation (:func:`local_expectations`), and
+every pair's correlations (:func:`correlation_matrices`) come from one Gram
+product of V; :mod:`maxent.search` runs the same kernel on unnormalized
+vectors and on stacks of them, and builds its Jacobian from V. The tests
 check each site's marginal (I + b.sigma)/2, from its row b of expectations,
 against the einsum partial trace :func:`maxent.linalg.partial_trace_single_site`.
 """
@@ -84,43 +85,29 @@ def _stack_index(n_qubits: int, rows: int) -> np.ndarray:
     return index
 
 
-def _pauli_images(psi: np.ndarray, n_qubits: int) -> np.ndarray:
-    """V, the 3n Pauli images of a vector or of each row of a stack, by one gather.
+def _images(psi: np.ndarray, n_qubits: int):
+    """(<psi|psi>, V, e) of a vector, or of each row of a (k, 2^n) stack.
 
-    Row 3(site - 1) + axis - 1 is psi with sigma_axis applied at site; a
-    (k, 2^n) stack gives (k, 3n, 2^n). The phases are +-1 and +-i, so the
-    products are exact.
+    V holds the 3n Pauli images by one gather, row 3(site - 1) + axis - 1
+    being psi with sigma_axis at site; the phases are +-1 and +-i, so the
+    products are exact. e holds the 3n expectations Re<psi|V_r>/<psi|psi>,
+    scale invariant (smooth off the sphere, which the gradient check relies
+    on). Each slice of a stack's results has the bits of its row alone: the
+    squared norms, a (k, 1) column, take one vdot per row, as a stacked
+    reduction would sum in another order, and the real product
+    Re a Re b + Im a Im b of the float64 views runs slice by slice as the
+    same matrix-vector call.
     """
     perm, phase = _image_tables(n_qubits)
     if psi.ndim == 1:
+        nn = np.vdot(psi, psi).real
         images = psi[perm]
     else:
+        nn = np.array([np.vdot(row, row).real for row in psi])[:, None]
         images = np.ravel(psi)[_stack_index(n_qubits, psi.shape[0])]
     images *= phase
-    return images
-
-
-def _image_expectations(images: np.ndarray, psi: np.ndarray, norm_sq) -> np.ndarray:
-    """Re<psi|V_r>/<psi|psi> for every row r of the images: (3n,), or (k, 3n) for a stack.
-
-    Real products of the float64 views: Re(a conj(b)) = Re a Re b + Im a Im b.
-    For a stack, norm_sq is the (k, 1) column of squared norms; numpy runs
-    the product slice by slice as the same matrix-vector call as for one
-    vector, so every slice has the bits of the unstacked result.
-    """
     real = images.view(np.float64) @ psi.view(np.float64)[..., None]
-    return real[..., 0] / norm_sq
-
-
-def _local_expectations_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
-    """All 3n local Pauli expectations of an unnormalized vector.
-
-    Row i holds (e1, e2, e3) for site i+1, each divided by <psi|psi> so the
-    result is scale invariant (smooth off the sphere, which the gradient
-    check relies on).
-    """
-    nn = np.vdot(psi, psi).real
-    return _image_expectations(_pauli_images(psi, n_qubits), psi, nn).reshape(n_qubits, 3)
+    return nn, images, real[..., 0] / nn
 
 
 def local_expectations(state: State) -> np.ndarray:
@@ -129,7 +116,7 @@ def local_expectations(state: State) -> np.ndarray:
     Entry [site - 1, axis - 1] is the mean of that single-site Pauli
     measurement; row site - 1 is the site's Bloch vector.
     """
-    return _local_expectations_raw(state.amplitudes, state.n_qubits)
+    return _images(state.amplitudes, state.n_qubits)[2].reshape(state.n_qubits, 3)
 
 
 def local_expectation(state: State, site: int, axis: int) -> float:
@@ -174,10 +161,8 @@ def correlation_matrices(state: State) -> np.ndarray:
     transpose of [i, j]; the diagonal block [i, i] is the site's own
     symmetrized covariance I - e_i e_i^T, since Re<V_ia|V_ib> = delta_ab.
     """
-    psi, n = state.amplitudes, state.n_qubits
-    nn = np.vdot(psi, psi).real
-    images = _pauli_images(psi, n)
-    e = _image_expectations(images, psi, nn)
+    n = state.n_qubits
+    nn, images, e = _images(state.amplitudes, n)
     real = images.view(np.float64)
     # numpy evaluates a @ a.T as one symmetric rank-k update, so t is exactly symmetric.
     t = real @ real.T / nn - np.outer(e, e)

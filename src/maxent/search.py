@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MAX_QUBITS
-from .measurement import _image_expectations, _pauli_images
+from .measurement import _images
 from .states import State
 
 _HALF = 0.5
@@ -113,21 +113,6 @@ def haar_random_su2(seed) -> np.ndarray:
     return q / np.sqrt(np.linalg.det(q))
 
 
-def _images(psi: np.ndarray, n_qubits: int):
-    """(<psi|psi>, V, e) of a vector, or of each row of a (k, 2^n) stack.
-
-    V holds the 3n Pauli images and e the 3n Rayleigh-normalized
-    expectations, site-major. The squared norms take one vdot per row: a
-    stacked reduction would sum in another order and move the last bits.
-    """
-    if psi.ndim == 1:
-        nn = np.vdot(psi, psi).real
-    else:
-        nn = np.array([np.vdot(row, row).real for row in psi])
-    images = _pauli_images(psi, n_qubits)
-    return nn, images, _image_expectations(images, psi, nn[..., None])
-
-
 def _jacobian(psi: np.ndarray, nn, images: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The Jacobian of the residuals e, made in place from the images.
 
@@ -138,14 +123,8 @@ def _jacobian(psi: np.ndarray, nn, images: np.ndarray, e: np.ndarray) -> np.ndar
     also keep these small matrices off multithreaded complex BLAS calls.
     """
     images -= e[..., None] * psi[..., None, :]
-    images *= (2.0 / nn)[..., None, None]
+    images *= (2.0 / nn)[..., None]
     return images.view(np.float64)
-
-
-def _residuals_jacobian(psi: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3n residuals e (the expectations, site-major) and their Jacobian."""
-    nn, images, e = _images(psi, n_qubits)
-    return e, _jacobian(psi, nn, images, e)
 
 
 def cost_raw(psi: np.ndarray, n_qubits: int) -> float:
@@ -165,8 +144,8 @@ def cost_gradient_raw(psi: np.ndarray, n_qubits: int) -> np.ndarray:
     Rayleigh-normalized the gradient is automatically tangent to both the
     radial and the global-phase directions on the unit sphere.
     """
-    e, jac = _residuals_jacobian(psi, n_qubits)
-    return 2.0 * (e @ jac).view(np.complex128)
+    nn, images, e = _images(psi, n_qubits)
+    return 2.0 * (e @ _jacobian(psi, nn, images, e)).view(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -203,8 +182,8 @@ def optimize(
     damped step helps (exact critical point, where J^T e = 0, or rounding),
     seeded random tangent kicks are tried under the same rule; if all fail
     the run stops "stuck". Running out of max_iter is not an error either.
-    The seed must be a non-negative integer; the kick generator is built
-    from it only when a first kick is needed.
+    max_iter and the seed must be non-negative integers; the kick generator
+    is built from the seed only when a first kick is needed.
     """
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -250,6 +229,7 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    max_iter = operator.index(max_iter)
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = np.array(starts, dtype=np.complex128)
@@ -344,8 +324,9 @@ def _finish_iteration(run, psi, e, jac, jjt, floor, n_qubits, tried) -> bool:
     return False
 
 
-# Bytes of Pauli images one lockstep batch may hold: all 4 starts of a
-# search up to n = 5, one start at a time at n = 8.
+# Bytes of Pauli images one lockstep batch may hold: 48 n 2^n per start, so
+# every start of a 4-start search up to n = 6 (7 per batch there), 3 starts
+# at n = 7 and one at a time at n = 8.
 _IMAGE_BUDGET = 128 << 10
 
 
@@ -361,10 +342,13 @@ def multi_start(
     Per-start seeds are derived words of a single seed sequence, so the
     result is identical however the starts are scheduled. The starts descend
     in lockstep batches of as many as fit the image budget (3n complex
-    images of 2^n amplitudes each).
+    images of 2^n amplitudes each). starts, seed and max_iter must be
+    integers, as for :func:`optimize`.
     """
-    if starts < 1:
+    if operator.index(starts) < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
     seeds = [int(word) for word in words]
     initial = [haar_random_state(n, s).amplitudes for s in seeds]

@@ -8,7 +8,7 @@ from maxent.linalg import partial_trace_single_site
 from maxent.measurement import (
     AXES,
     _image_tables,
-    _pauli_images,
+    _images,
     CorrelationMatrix,
     ShotRecord,
     axes_from_chars,
@@ -40,7 +40,7 @@ def _random_state(rng, n):
 def test_pauli_matrices():
     # The one-qubit images of |+> and |-> are the columns of each Pauli matrix.
     for axis in AXES:
-        columns = [_pauli_images(ket, 1)[axis - 1] for ket in np.eye(2, dtype=complex)]
+        columns = [_images(ket, 1)[1][axis - 1] for ket in np.eye(2, dtype=complex)]
         assert np.array_equal(np.transpose(columns), oracles.SIGMA[axis])
     with pytest.raises(ValueError, match="axis must be 1, 2 or 3, got 4"):
         local_expectation(ghz("+"), 1, 4)
@@ -77,13 +77,30 @@ def test_pauli_images_match_dense_oracle():
     rng = np.random.default_rng(20)
     for n in range(1, 9):
         psi = rng.uniform(0.2, 3.0) * (rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-        images = _pauli_images(psi, n)
+        images = _images(psi, n)[1]
         assert images.shape == (3 * n, 1 << n)
         for site in range(1, n + 1):
             for axis in AXES:
                 want = oracles.site_operator(n, site, oracles.SIGMA[axis]) @ psi
                 assert np.allclose(images[3 * (site - 1) + axis - 1], want, rtol=0, atol=1e-14)
         assert not any(table.flags.writeable for table in _image_tables(n))
+
+
+def test_images_of_a_stack_equal_each_row_alone_to_the_bit():
+    # The lockstep search relies on this: each start's slice of the stacked
+    # norms, images and expectations has the bits of that start alone, also
+    # off the unit sphere.
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        for k in range(1, 6):
+            z = rng.standard_normal((k, 1 << n)) + 1j * rng.standard_normal((k, 1 << n))
+            scales = np.resize([1.0, 0.3, 2.5], k)[:, None]
+            stack = scales * z / np.linalg.norm(z, axis=1, keepdims=True)
+            stacked = _images(stack, n)
+            assert stacked[1].shape == (k, 3 * n, 1 << n)
+            for j in range(k):
+                for got, want in zip(stacked, _images(stack[j], n)):
+                    assert got[j].tobytes() == np.asarray(want).tobytes()
 
 
 def test_local_expectation_agrees_with_density_route():

@@ -11,12 +11,12 @@ from maxent.entanglement import (
     criterion_check,
     reduced_entropy,
 )
-from maxent.measurement import local_expectations
+from maxent.measurement import _images, local_expectations
 from maxent.search import (
     DEFAULT_MAX_ITER,
     ConstraintParams,
     SearchOutcome,
-    _residuals_jacobian,
+    _jacobian,
     cost_gradient_raw,
     cost_raw,
     generate_constrained,
@@ -234,6 +234,24 @@ def test_optimize_validates_arguments():
         optimize(st, tol=1e-9, seed=np.random.default_rng(1))
 
 
+def test_search_takes_integer_iteration_counts_starts_and_seeds():
+    st = haar_random_state(3, 1)
+    for max_iter in (1.5, math.nan, np.float64(2)):
+        with pytest.raises(TypeError):
+            optimize(st, 1e-12, max_iter=max_iter)
+        with pytest.raises(TypeError):
+            multi_start(3, 2, 1e-12, seed=1, max_iter=max_iter)
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            multi_start(2, bad, 1e-12, seed=1)
+        with pytest.raises(TypeError):
+            multi_start(2, 2, 1e-12, seed=bad)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        multi_start(2, 2, 1e-12, seed=-1)
+    a, b = optimize(st, 1e-12, max_iter=np.int64(2)), optimize(st, 1e-12, max_iter=2)
+    assert (a.iterations, a.final_cost, a.stop_reason) == (b.iterations, b.final_cost, "max_iter")
+
+
 @pytest.mark.parametrize("tol", [math.nan, -math.inf, -1e-12])
 def test_optimize_and_multi_start_reject_nan_and_negative_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -273,9 +291,8 @@ def test_residuals_jacobian_matches_oracle():
     # the unit sphere; the float64 view interleaves (Re, Im)
     for n, scale in ((2, 1.0), (3, 0.6), (4, 1.7), (8, 2.3)):
         psi = scale * haar_random_state(n, 50 + n).amplitudes
-        e, jac = _residuals_jacobian(psi, n)
-        w = jac.view(complex)
-        nn = np.vdot(psi, psi).real
+        nn, images, e = _images(psi, n)
+        w = _jacobian(psi, nn, images, e).view(complex)
         for site in range(1, n + 1):
             for axis in (1, 2, 3):
                 k = 3 * (site - 1) + axis - 1

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxent.search import _residuals_jacobian, cost_gradient_raw, cost_raw, optimize
+from maxent.measurement import _images
+from maxent.search import _jacobian, cost_gradient_raw, cost_raw, optimize
 from maxent.states import from_amplitudes
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -37,8 +38,8 @@ def test_cost_bounded_and_invariant_under_scale_and_phase(case, scale, phase):
 @given(vectors())
 def test_gradient_is_twice_residuals_times_jacobian(case):
     n, psi = case
-    e, jac = _residuals_jacobian(psi, n)
-    w = jac.view(complex)
+    nn, images, e = _images(psi, n)
+    w = _jacobian(psi, nn, images, e).view(complex)
     want = 2.0 * sum(e[k] * w[k] for k in range(e.size))
     assert np.allclose(cost_gradient_raw(psi, n), want, rtol=1e-12, atol=1e-12)
 
