@@ -16,6 +16,8 @@ import sys
 import numpy as np
 
 from .entanglement import (
+    CONSTRAINT_TOL,
+    CRITERION_TOL,
     LN2,
     apply_local_unitaries,
     constraint_check,
@@ -24,6 +26,7 @@ from .entanglement import (
     site_marginals,
     trace_invariant,
 )
+from .linalg import MAX_QUBITS
 from .measurement import (
     axes_from_chars,
     correlation_matrices,
@@ -34,6 +37,7 @@ from .measurement import (
     sample_outcomes,
 )
 from .search import (
+    DEFAULT_MAX_ITER,
     ConstraintParams,
     generate_constrained,
     haar_random_state,
@@ -234,8 +238,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if not 2 <= args.n <= 8:
-        raise ValueError(f"--n must be in [2, 8], got {args.n}")
+    if not 2 <= args.n <= MAX_QUBITS:
+        raise ValueError(f"--n must be in [2, {MAX_QUBITS}], got {args.n}")
     outcomes = multi_start(
         args.n, args.starts, args.tol, args.seed, max_iter=args.max_iter
     )
@@ -492,9 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report on a state file", epilog=_EPILOG)
     p.add_argument("path")
-    p.add_argument("--tol", type=_finite_float, default=1e-9, help="criterion tolerance")
+    p.add_argument("--tol", type=_finite_float, default=CRITERION_TOL, help="criterion tolerance")
     p.add_argument(
-        "--constraint-tol", type=_finite_float, default=1e-6, help="constraint tolerance"
+        "--constraint-tol", type=_finite_float, default=CONSTRAINT_TOL, help="constraint tolerance"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -535,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out", default=None, help="write the best state here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -543,8 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-module property suite")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
-    p.add_argument("--constraint-tol", type=_finite_float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=CRITERION_TOL)
+    p.add_argument("--constraint-tol", type=_finite_float, default=CONSTRAINT_TOL)
     p.add_argument(
         "--perturb",
         type=_finite_float,

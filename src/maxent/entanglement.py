@@ -46,9 +46,9 @@ def site_marginals(bloch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if raw.min() < _EIGENVALUE_FLOOR:
         raise ValueError(f"marginal eigenvalue {raw.min()} is negative beyond rounding")
     eigenvalues = np.minimum(np.maximum(raw, 0.0), 1.0)
-    # ln 1 = 0 stands in where lam = 0, so 0 ln 0 counts as 0.
+    # ln 1 = 0 stands in where lam = 0, so 0 ln 0 counts as 0; no term is > 0.
     xlogx = eigenvalues * np.log(eigenvalues + (eigenvalues == 0.0))
-    entropies = np.maximum(0.0 - xlogx.sum(axis=1), 0.0)
+    entropies = 0.0 - xlogx.sum(axis=1)
     # r2 is a sum of the same squares, so r2 >= min(b2) in floating point too.
     defects = np.sqrt(2.0 * (r2 - b2.min(axis=1)))
     return eigenvalues, entropies, defects
@@ -70,7 +70,7 @@ def reduced_entropy(state: State, site: int) -> EntropyReport:
     treated as rounding and clamped to 0; anything more negative is an
     error. Uses the 0 ln 0 = 0 convention.
     """
-    _check_site(state.n_qubits, site)
+    site = _check_site(state.n_qubits, site)
     eigenvalues, entropies, _ = site_marginals(local_expectations(state))
     return EntropyReport(site, tuple(eigenvalues[site - 1].tolist()), float(entropies[site - 1]))
 
@@ -121,14 +121,6 @@ class ConstraintReport:
     degenerate: bool
 
 
-def _wrap_angle(theta: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    wrapped = math.remainder(theta, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 def constraint_check(a: np.ndarray, tolerance: float = CONSTRAINT_TOL) -> ConstraintReport:
     """Check a normalized 2x2 coefficient matrix against the constraint system."""
     if not tolerance > 0.0:
@@ -156,7 +148,7 @@ def constraint_check(a: np.ndarray, tolerance: float = CONSTRAINT_TOL) -> Constr
             - math.atan2(a[0, 1].imag, a[0, 1].real)
             - math.atan2(a[1, 0].imag, a[1, 0].real)
         )
-        phase_residual = abs(_wrap_angle(phase_sum - math.pi))
+        phase_residual = abs(math.remainder(phase_sum - math.pi, 2.0 * math.pi))
     satisfied = all(r <= tolerance for r in modulus_residuals) and (
         degenerate or phase_residual <= tolerance
     )
@@ -185,7 +177,7 @@ def commutator_defect(state: State, site: int) -> float:
     One entry of :func:`site_marginals`. Zero exactly when the site's
     marginal is diagonal in every Pauli basis, i.e. when it is I/2.
     """
-    _check_site(state.n_qubits, site)
+    site = _check_site(state.n_qubits, site)
     return float(site_marginals(local_expectations(state))[2][site - 1])
 
 

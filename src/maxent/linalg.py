@@ -11,6 +11,8 @@ arrays, so concurrent use is safe.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MAX_QUBITS = 8
@@ -20,7 +22,7 @@ STATE_NORM_TOL = 1e-9
 
 def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
     """A flat complex128 view or copy of a finite length-2^n vector, 1 <= n <= 8."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
+    if not 1 <= operator.index(n_qubits) <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.size != 1 << n_qubits:
@@ -33,6 +35,8 @@ def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
 
 
 def _check_site(n_qubits: int, site: int) -> int:
+    """The site as an int, checked to be in [1, n_qubits]; a float is a TypeError."""
+    site = operator.index(site)
     if not 1 <= site <= n_qubits:
         raise ValueError(f"site must be in [1, {n_qubits}], got {site}")
     return site
@@ -45,7 +49,7 @@ def apply_single_site(amplitudes, n_qubits: int, site: int, op) -> np.ndarray:
     need not be normalized.
     """
     amps = _require_amplitudes(amplitudes, n_qubits)
-    _check_site(n_qubits, site)
+    site = _check_site(n_qubits, site)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (2, 2):
         raise ValueError("single-site operator must be 2x2")
@@ -80,7 +84,7 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
         2x2 Hermitian matrix with unit trace.
     """
     amps = _require_amplitudes(amplitudes, n_qubits)
-    _check_site(n_qubits, site)
+    site = _check_site(n_qubits, site)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")

@@ -121,14 +121,13 @@ def local_expectations(state: State) -> np.ndarray:
 
 def local_expectation(state: State, site: int, axis: int) -> float:
     """Mean of a single-site Pauli measurement, in [-1, 1]."""
-    _check_site(state.n_qubits, site)
+    site = _check_site(state.n_qubits, site)
     return float(local_expectations(state)[site - 1, _check_axis(axis) - 1])
 
 
 def bloch_vector(state: State, site: int) -> np.ndarray:
     """The three local Pauli expectations of one site as a real 3-vector."""
-    _check_site(state.n_qubits, site)
-    return local_expectations(state)[site - 1]
+    return local_expectations(state)[_check_site(state.n_qubits, site) - 1]
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,7 @@ def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMat
         raise ValueError("correlation matrix needs at least 2 qubits")
     if site_a == site_b:
         raise ValueError("correlation matrix requires two distinct sites")
-    _check_site(state.n_qubits, site_a)
-    _check_site(state.n_qubits, site_b)
+    site_a, site_b = _check_site(state.n_qubits, site_a), _check_site(state.n_qubits, site_b)
     t = correlation_matrices(state)[site_a - 1, site_b - 1]
     return CorrelationMatrix(t=t, site_pair=(site_a, site_b))
 

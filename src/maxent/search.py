@@ -94,7 +94,7 @@ def random_constraint_params(seed) -> ConstraintParams:
 
 def haar_random_state(n: int, seed) -> State:
     """Uniformly random n-qubit state: complex Gaussian vector, normalized."""
-    if not 1 <= n <= MAX_QUBITS:
+    if not 1 <= operator.index(n) <= MAX_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
     rng = np.random.default_rng(seed)
     dim = 1 << n
@@ -250,10 +250,8 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
         try:
             y = np.linalg.solve(jjt, e[..., None])
         except np.linalg.LinAlgError:
-            # Raised for the whole stack: each start retries its own mu = 0
-            # step, unless it was alone and so is the one found singular.
-            tried = len(live) == 1
-            taken = [False] * len(live)
+            # Raised for the whole stack: each start retries its own mu = 0 step.
+            tried, taken = False, [False] * len(live)
         else:
             tried = True
             cand = x - (y.transpose(0, 2, 1) @ jac)[:, 0].view(np.complex128)
@@ -264,7 +262,8 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
             taken = [r.offer(c, cost, False) for r, c, cost in zip(live, cand, costs)]
         for k, r in enumerate(live):
             if not taken[k]:
-                r.stuck = not _finish_iteration(r, x[k], e[k], jac[k], jjt[k], floors[k], n, tried)
+                tail = _candidates(r, x[k], e[k], jac[k], jjt[k], floors[k], tried)
+                r.stuck = not any(r.offer(c, cost_raw(c, n), kicked) for c, kicked in tail)
         # When every start took its batched candidate, its images are the next round's.
         stacked = all(taken)
         if stacked:
@@ -288,13 +287,13 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
     ]
 
 
-def _finish_iteration(run, psi, e, jac, jjt, floor, n_qubits, tried) -> bool:
-    """One start's iteration after its batched step failed: damped steps, then kicks.
+def _candidates(run, psi, e, jac, jjt, floor, tried):
+    """One start's candidates after its batched step failed, as (candidate, kicked).
 
-    The damping mu starts at 0 and after each rejected step becomes
+    First the damped steps: mu starts at 0 and after each step becomes
     max(1e-3 tr(J J^T)/3n, 10 mu); the mu = 0 step is skipped when the batch
-    already tried it. Kicks are random tangent directions from the start's
-    own generator, built at its first kick. Returns whether one was taken.
+    already tried it. Then the kicks: random tangent directions from the
+    start's own generator, built at its first kick.
     """
     mu = 0.0
     for t in range(_DAMPING_TRIES):
@@ -305,9 +304,7 @@ def _finish_iteration(run, psi, e, jac, jjt, floor, n_qubits, tried) -> bool:
                 pass
             else:
                 cand = psi - (y @ jac).view(np.complex128)
-                cand /= np.linalg.norm(cand)
-                if run.offer(cand, cost_raw(cand, n_qubits), False):
-                    return True
+                yield cand / np.linalg.norm(cand), False
         mu = max(floor, 10.0 * mu)
     if run.rng is None:
         run.rng = np.random.default_rng(run.seed)
@@ -318,10 +315,7 @@ def _finish_iteration(run, psi, e, jac, jjt, floor, n_qubits, tried) -> bool:
         d /= np.linalg.norm(d)
         for eps in _ESCAPE_SIZES:
             cand = psi + eps * d
-            cand /= np.linalg.norm(cand)
-            if run.offer(cand, cost_raw(cand, n_qubits), True):
-                return True
-    return False
+            yield cand / np.linalg.norm(cand), True
 
 
 # Bytes of Pauli images one lockstep batch may hold: 48 n 2^n per start, so

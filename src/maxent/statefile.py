@@ -45,7 +45,7 @@ def format_state(state: State, label: str | None = None) -> str:
     """Render a state as a document string, ending in a newline."""
     lines = [f"format: {FORMAT_TAG}", f"n_qubits: {state.n_qubits}"]
     if label is not None:
-        if "\n" in label or "\r" in label:
+        if label and label.splitlines() != [label]:
             raise ValueError("label must be a single line")
         if label.strip() != label or not label:
             raise ValueError("label must be nonempty without surrounding whitespace")

@@ -28,14 +28,6 @@ INGEST_NORM_FLOOR = 1e-12
 _EXACT_NORM_WINDOW = 4e-16
 
 _BITS_TO_SYMBOLS = str.maketrans("01", "+-")
-_SYMBOLS_TO_BITS = str.maketrans("+-", "01")
-
-
-def basis_index(label: str) -> int:
-    """Index of a basis ket given its +/- label (first symbol most significant)."""
-    if not label or any(ch not in "+-" for ch in label):
-        raise ValueError(f"basis label must be a nonempty string over {{+,-}}, got {label!r}")
-    return int(label.translate(_SYMBOLS_TO_BITS), 2)
 
 
 def basis_label(index: int, n_qubits: int) -> str:

@@ -9,8 +9,8 @@ from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.measurement import local_expectations
 from maxent.search import haar_random_state
-from maxent.statefile import read_state_file, write_state_file
-from maxent.states import example_state, from_amplitudes
+from maxent.statefile import format_state, parse_state, read_state_file, write_state_file
+from maxent.states import example_state, from_amplitudes, ghz
 
 LN2 = math.log(2.0)
 
@@ -397,6 +397,21 @@ def test_search_json_reports_stop_telemetry(capsys):
     code, out, _ = run(capsys, "search", "--n", "4", "--starts", "2", "--seed", "1", "--json")
     assert code == 0
     assert {r["stop_reason"] for r in json.loads(out)["results"]} == {"converged"}
+
+
+def test_generate_rejects_a_label_that_would_not_read_back(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    # every separator at which str.splitlines, and so parse_state, breaks a line
+    for label in [f"a{sep}b" for sep in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"] + ["ab\x0b"]:
+        with pytest.raises(ValueError, match="^label must be a single line$"):
+            format_state(ghz("+"), label)
+        code, out, err = run(capsys, "generate", "ghz", "--label", label, "--out", str(path))
+        assert (code, out, err) == (2, "", "error: label must be a single line\n")
+        assert not path.exists()
+    with pytest.raises(ValueError, match="^label must be nonempty without surrounding"):
+        format_state(ghz("+"), " a")
+    # other control characters stay inside the one label line
+    assert parse_state(format_state(ghz("+"), "a\x1fb\tc"))[1] == "a\x1fb\tc"
 
 
 def test_generate_unwritable_out_exit_2(capsys, tmp_path):

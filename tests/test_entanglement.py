@@ -215,6 +215,14 @@ def test_constraint_check_accepts_minus_pi_branch():
     assert rep.satisfied and rep.phase_residual < 1e-15
 
 
+def test_constraint_check_phase_residual_at_the_fold():
+    # real equal entries: the phase sum is 0, so phase_sum - pi is exactly -pi
+    rep = constraint_check(np.full((2, 2), 0.5))
+    assert rep.phase_residual == math.pi and not rep.satisfied
+    rep = constraint_check(np.array([[0.5, 0.5], [0.5, -0.5]]))
+    assert rep.phase_residual == 0.0 and rep.satisfied
+
+
 def test_constraint_check_rejects_bad_input():
     with pytest.raises(ValueError):
         constraint_check(np.eye(2))  # norm sqrt(2)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maxent.cli import _analysis_document
-from maxent.linalg import partial_trace_single_site
+from maxent.entanglement import commutator_defect, reduced_entropy
+from maxent.linalg import apply_single_site, partial_trace_single_site
 from maxent.measurement import (
     AXES,
     _image_tables,
@@ -255,6 +256,29 @@ def test_sample_outcomes_takes_an_integer_seed_only():
     rec = sample_outcomes(bell, (3, 3), 10, np.int64(1))
     assert rec == sample_outcomes(bell, (3, 3), 10, 1)
     assert type(rec.seed) is int and rec.seed == 1
+
+
+def test_sites_must_be_integers():
+    s = ghz("+")
+    record = sample_outcomes(s, (3, 3, 3), 10, 1)
+    for call in (
+        lambda: local_expectation(s, 2.0, 1),
+        lambda: bloch_vector(s, 1.0),
+        lambda: correlation_matrix(s, 1.0, 2),
+        lambda: reduced_entropy(s, 1.0),
+        lambda: commutator_defect(s, np.float64(1)),
+        lambda: empirical_expectation(record, 1.5),
+        lambda: empirical_correlation(record, 1, 2.0),
+        lambda: mutual_information(record, 1.0, 2),
+        lambda: apply_single_site(s.amplitudes, 3, 1.0, np.eye(2)),
+        lambda: partial_trace_single_site(s.amplitudes, 3, 1.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # integer-like sites are taken and reported as plain ints
+    report = reduced_entropy(s, True)
+    assert type(report.site) is int and report == reduced_entropy(s, 1)
+    assert correlation_matrix(s, np.int64(1), np.uint8(2)).site_pair == (1, 2)
 
 
 def test_sample_outcomes_takes_an_integer_shot_count():

@@ -27,6 +27,7 @@ from maxent.search import (
     random_constraint_params,
 )
 from maxent.states import (
+    State,
     as_coefficient_matrix,
     epr_family,
     example_state,
@@ -234,6 +235,21 @@ def test_optimize_validates_arguments():
         optimize(st, tol=1e-9, seed=np.random.default_rng(1))
 
 
+def test_qubit_counts_must_be_integers():
+    # refused at the range check, not later inside a bit shift
+    not_int = "cannot be interpreted as an integer"
+    for bad in (2.0, np.float64(2)):
+        with pytest.raises(TypeError, match=not_int):
+            haar_random_state(bad, 1)
+        with pytest.raises(TypeError, match=not_int):
+            multi_start(bad, 2, 1e-12, seed=1)
+        with pytest.raises(TypeError, match=not_int):
+            State(bad, [1.0, 0.0, 0.0, 0.0])
+    # bools are integers, as they are for seeds
+    assert State(True, [1.0, 0.0]).dim == 2
+    assert haar_random_state(True, 1).dim == 2
+
+
 def test_search_takes_integer_iteration_counts_starts_and_seeds():
     st = haar_random_state(3, 1)
     for max_iter in (1.5, math.nan, np.float64(2)):
@@ -395,18 +411,19 @@ def test_lockstep_singular_stack_falls_back_per_start(monkeypatch):
     # finds it exactly singular: numpy's stacked solve then raises for the
     # whole batch and every start of that round goes on alone from mu = 0.
     unsolved = []
-    finish = search._finish_iteration
+    candidates = search._candidates
 
-    def spy(run, psi, e, jac, jjt, floor, n_qubits, tried):
+    def spy(run, psi, e, jac, jjt, floor, tried):
         unsolved.append(not tried)
-        return finish(run, psi, e, jac, jjt, floor, n_qubits, tried)
+        return candidates(run, psi, e, jac, jjt, floor, tried)
 
-    monkeypatch.setattr(search, "_finish_iteration", spy)
+    monkeypatch.setattr(search, "_candidates", spy)
     for seed in range(4):
         want = oracles.serial_multi_start(2, 4, 1e-12, seed, DEFAULT_MAX_ITER)
         assert_same_outcomes(multi_start(2, 4, 1e-12, seed), want)
     assert any(unsolved)
-    # alone, a start whose solve raised goes straight to the damped steps
+    # alone, a start whose solve raised retries mu = 0, which raises again and
+    # is caught without a cost evaluation, then goes on to the damped steps
     for seed in range(8):
         initial = haar_random_state(2, seed)
         want = oracles.serial_optimize(initial, 1e-12, DEFAULT_MAX_ITER, seed)

@@ -7,7 +7,6 @@ from maxent.states import (
     EXAMPLE_STATE_NAMES,
     State,
     as_coefficient_matrix,
-    basis_index,
     basis_label,
     epr_family,
     example_state,
@@ -22,24 +21,17 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_basis_order_first_symbol_most_significant():
-    assert [basis_index(s) for s in ("++", "+-", "-+", "--")] == [0, 1, 2, 3]
-    assert basis_index("+-+") == 2
     assert basis_label(2, 2) == "-+"
     assert basis_label(0, 3) == "+++"
     for n in range(1, 9):
         for i in range(1 << n):
             label = basis_label(i, n)
-            assert basis_index(label) == i
             assert label == "".join("+" if v > 0 else "-" for v in oracles.outcome_tuple(i, n))
     assert basis_label(np.uint8(255), np.uint8(8)) == "-" * 8
     assert basis_label(np.int8(5), np.int8(3)) == "-+-"
 
 
 def test_basis_label_rejects_junk():
-    with pytest.raises(ValueError):
-        basis_index("+0")
-    with pytest.raises(ValueError):
-        basis_index("")
     with pytest.raises(ValueError):
         basis_label(4, 2)
     with pytest.raises(TypeError):
