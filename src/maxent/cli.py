@@ -485,8 +485,11 @@ def _seed(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole argument tree; built once, at import, into ``_PARSER``."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole argument tree and its subcommand parsers by name.
+
+    Built once, at import, into ``_PARSER`` and ``_COMMANDS``.
+    """
     parser = argparse.ArgumentParser(
         prog="maxent",
         description="Detect, construct, and sample maximally entangled qubit states.",
@@ -565,14 +568,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # _PARSER owns help and every error before a subcommand
+        args = _PARSER.parse_args(argv)
+    else:
+        # What _PARSER.parse_args does after matching the name, without its own pass.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # StateFileError is a ValueError

@@ -29,7 +29,7 @@ def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
         raise ValueError(
             f"amplitude vector has length {amps.size}, expected {1 << n_qubits}"
         )
-    if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite entries")
     return amps
 

@@ -41,6 +41,8 @@ _MAX_SHOTS = 2**63 - 1
 
 
 def _check_axis(axis: int) -> int:
+    """The axis as an int, checked to be 1, 2 or 3; a float is a TypeError."""
+    axis = operator.index(axis)
     if axis not in AXES:
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
     return axis
@@ -203,9 +205,7 @@ def _check_bases(state: State, bases) -> tuple[int, ...]:
         raise ValueError(
             f"got {len(bases)} measurement axes for {state.n_qubits} qubits"
         )
-    for axis in bases:
-        _check_axis(axis)
-    return bases
+    return tuple(_check_axis(axis) for axis in bases)
 
 
 def axes_from_chars(text: str) -> tuple[int, ...]:
@@ -227,7 +227,8 @@ class ShotRecord:
 
     ``binned[k]`` counts outcome k, whose bits (most significant site first)
     encode +1 as 0 and -1 as 1, the order of :func:`born_probabilities`.
-    Every base is an axis, ``shots`` is at least 1, and the counts are
+    Every base is an axis, stored as an int (a float is a ``TypeError``),
+    ``shots`` is at least 1, and the counts are
     nonnegative and sum exactly to ``shots`` (else ``ValueError``). The
     integer ``seed`` seeded the PCG64 multinomial draw, so equal inputs
     reproduce the record exactly.
@@ -239,8 +240,7 @@ class ShotRecord:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for axis in self.bases:
-            _check_axis(axis)
+        object.__setattr__(self, "bases", tuple(_check_axis(axis) for axis in self.bases))
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         binned = np.array(self.binned, dtype=np.int64)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import MAX_QUBITS
 from .measurement import _images
-from .states import State
+from .states import State, _unit
 
 _HALF = 0.5
 _R_SLACK = 1e-12
@@ -92,14 +92,31 @@ def random_constraint_params(seed) -> ConstraintParams:
     return ConstraintParams(r=r, alpha=alpha, beta=beta, delta=delta)
 
 
-def haar_random_state(n: int, seed) -> State:
-    """Uniformly random n-qubit state: complex Gaussian vector, normalized."""
-    if not 1 <= operator.index(n) <= MAX_QUBITS:
+def _check_n(n: int) -> int:
+    """The qubit count as an int, checked to be in [1, 8]; a float is a TypeError."""
+    n = operator.index(n)
+    if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
+def _haar_direction(n: int, seed) -> np.ndarray:
+    """z / |z| for a complex Gaussian z of 2^n entries drawn from the seed."""
     rng = np.random.default_rng(seed)
     dim = 1 << n
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return State(n_qubits=n, amplitudes=z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
+
+
+def haar_random_state(n: int, seed) -> State:
+    """Uniformly random n-qubit state: complex Gaussian vector, normalized."""
+    n = _check_n(n)
+    return State(n_qubits=n, amplitudes=_haar_direction(n, seed))
+
+
+def _haar_start(n: int, seed) -> np.ndarray:
+    """``haar_random_state(n, seed).amplitudes`` without the State, for a checked n."""
+    return _unit(_haar_direction(n, seed))
 
 
 def haar_random_su2(seed) -> np.ndarray:
@@ -343,9 +360,10 @@ def multi_start(
         raise ValueError(f"starts must be >= 1, got {starts}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    n = _check_n(n)
     words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
     seeds = [int(word) for word in words]
-    initial = [haar_random_state(n, s).amplitudes for s in seeds]
+    initial = [_haar_start(n, s) for s in seeds]
     batch = max(1, _IMAGE_BUDGET // (48 * n << n))
     outcomes = []
     for lo in range(0, starts, batch):

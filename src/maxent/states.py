@@ -46,6 +46,22 @@ def _ket_label(index: int, n_qubits: int) -> str:
     return bin(index | 1 << n_qubits)[3:].translate(_BITS_TO_SYMBOLS)
 
 
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """A unit-norm copy of a flat complex vector whose norm is 1 within 1e-9.
+
+    The vector is divided by its norm only when that norm is off 1 by more
+    than the exact-norm window; either way the result is a new array, never
+    the caller's.
+    """
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(
+            f"state norm {norm!r} deviates from 1 beyond 1e-9; "
+            "use from_amplitudes to normalize arbitrary input"
+        )
+    return amps / norm if abs(norm - 1.0) > _EXACT_NORM_WINDOW else amps.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """Normalized amplitude vector of an n-qubit register.
@@ -53,7 +69,8 @@ class State:
     Direct construction demands a vector already normalized within 1e-9
     (it is then silently rescaled to machine precision); arbitrary input
     should enter through :func:`from_amplitudes`, which normalizes anything
-    with norm above 1e-12. The stored array is an immutable copy.
+    with norm above 1e-12. The stored array is an immutable copy, and the
+    stored qubit count a plain int (a bool qubit count is stored as 0 or 1).
 
     Attributes
     ----------
@@ -67,16 +84,9 @@ class State:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _require_amplitudes(self.amplitudes, self.n_qubits)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
-            raise ValueError(
-                f"state norm {norm!r} deviates from 1 beyond 1e-9; "
-                "use from_amplitudes to normalize arbitrary input"
-            )
-        # Either branch makes the copy that is stored, never the caller's array.
-        amps = amps / norm if abs(norm - 1.0) > _EXACT_NORM_WINDOW else amps.copy()
+        amps = _unit(_require_amplitudes(self.amplitudes, self.n_qubits))
         amps.setflags(write=False)
+        object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -95,7 +105,7 @@ def from_amplitudes(raw) -> State:
     count recorded.
     """
     amps = np.array(raw, dtype=np.complex128).reshape(-1)
-    if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite entries")
     size = amps.size
     n = size.bit_length() - 1

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from maxent import cli
 from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.measurement import local_expectations
 from maxent.search import haar_random_state
 from maxent.statefile import format_state, parse_state, read_state_file, write_state_file
-from maxent.states import example_state, from_amplitudes, ghz
+from maxent.states import epr_family, example_state, from_amplitudes, ghz
 
 LN2 = math.log(2.0)
 
@@ -453,3 +454,48 @@ def test_main_builds_no_parser(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+def _exit_and_streams(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_parses_as_the_whole_tree_does(capsys, tmp_path, monkeypatch):
+    # main hands argv to the parser its first word names; with no names to
+    # match it runs _PARSER.parse_args on the whole argv, the reference here
+    path = str(tmp_path / "bell.txt")
+    write_state_file(path, epr_family("varphi", 0.0), "bell")
+    calls = [
+        ["analyze", path, "--json"],
+        ["generate", "ghz", "--sign", "-"],
+        ["search", "--n", "2", "--starts", "1", "--seed", "1"],
+        ["verify", "--trials", "1"],
+        ["sample", path, "--bases", "zz", "--shots", "10"],
+        ["search", "--bogus"],
+        ["search", "--n", "2", "stray", "--bogus"],
+        ["generate", "ghz", "stray"],
+        ["analyze"],
+        ["sample", path],
+        ["analyz", path],
+        [],
+        ["-h"],
+        ["search", "-h"],
+        ["generate", "bogus"],
+        ["--bogus", "search"],
+        ["search", "--", "stray"],
+        ["analyze", "--", path],
+    ]
+    codes = set()
+    for argv in calls:
+        got = _exit_and_streams(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_COMMANDS", {})
+            want = _exit_and_streams(capsys, argv)
+        assert got == want, argv
+        codes.add(got[0])
+    assert codes == {0, 2}

@@ -3,6 +3,7 @@ import pytest
 
 from maxent.entanglement import site_marginals
 from maxent.linalg import apply_single_site, partial_trace_single_site
+from maxent.states import State, from_amplitudes
 
 import oracles
 
@@ -57,6 +58,21 @@ def test_partial_trace_rejects_raw_input_that_is_not_a_state():
         partial_trace_single_site(np.array([1.0, 0, 0]), 2, 1)
     with pytest.raises(ValueError, match="site"):
         partial_trace_single_site(np.array([1.0, 0, 0, 0]), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, np.nan), complex(0.0, -np.inf)]
+)
+def test_non_finite_real_or_imaginary_part_is_refused(bad):
+    amps = np.array([bad, 1.0, 0.0, 0.0])
+    assert np.isfinite(amps.real).all() != np.isfinite(amps.imag).all()
+    message = "^amplitudes contain non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        State(2, amps)
+    with pytest.raises(ValueError, match=message):
+        apply_single_site(amps, 2, 1, np.eye(2))
+    with pytest.raises(ValueError, match=message):
+        from_amplitudes(amps)
 
 
 def test_eigenvalues_accurate_near_degeneracy():

@@ -47,6 +47,29 @@ def test_pauli_matrices():
         local_expectation(ghz("+"), 1, 4)
 
 
+def test_axes_must_be_integers():
+    # refused up front, not later as a bare numpy IndexError
+    not_int = "cannot be interpreted as an integer"
+    st = ghz("+")
+    for bad in (2.0, np.float64(2)):
+        with pytest.raises(TypeError, match=not_int):
+            local_expectation(st, 1, bad)
+        with pytest.raises(TypeError, match=not_int):
+            born_probabilities(st, (3, bad, 3))
+        with pytest.raises(TypeError, match=not_int):
+            sample_outcomes(st, (3, bad, 3), 10, 0)
+        with pytest.raises(TypeError, match=not_int):
+            ShotRecord(bases=(3, bad), shots=1, binned=[1, 0, 0, 0])
+    # a bool is an int, as a site is: True is axis 1, x
+    plus_plus = from_amplitudes([1.0, 1.0, 0.0, 0.0])
+    assert local_expectation(plus_plus, 2, True) == local_expectation(plus_plus, 2, 1) == 1.0
+    probs = born_probabilities(plus_plus, (3, True))
+    assert np.array_equal(probs, born_probabilities(plus_plus, (3, 1)))
+    assert np.allclose(probs, [1.0, 0.0, 0.0, 0.0])
+    rec = ShotRecord(bases=(np.int64(3), True), shots=1, binned=[1, 0, 0, 0])
+    assert rec.bases == (3, 1) and all(type(axis) is int for axis in rec.bases)
+
+
 def test_local_expectation_matches_dense_oracle():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):

@@ -250,6 +250,27 @@ def test_qubit_counts_must_be_integers():
     assert haar_random_state(True, 1).dim == 2
 
 
+def test_multi_start_draws_the_haar_random_state_vectors():
+    # multi_start draws its starts as arrays; each must be the vector that
+    # haar_random_state stores, also where State divides by the norm again
+    second_division = {7: 33670, 8: 1518}
+    for n, seed in second_division.items():
+        drawn = search._haar_direction(n, seed)
+        assert abs(float(np.linalg.norm(drawn)) - 1.0) > 4e-16
+        assert search._haar_start(n, seed).tobytes() != drawn.tobytes()
+    for n in range(1, 9):
+        for seed in (0, 1, 2**64 - 1, second_division.get(n, 2)):
+            start = search._haar_start(n, seed)
+            assert start.tobytes() == haar_random_state(n, seed).amplitudes.tobytes()
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        multi_start(2.0, 4, 1e-12, seed=1)
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, 8\], got {bad}$"):
+            multi_start(bad, 4, 1e-12, seed=1)
+    (out,) = multi_start(True, 1, 1e-12, seed=1)
+    assert type(out.state.n_qubits) is int and out.state.n_qubits == 1
+
+
 def test_search_takes_integer_iteration_counts_starts_and_seeds():
     st = haar_random_state(3, 1)
     for max_iter in (1.5, math.nan, np.float64(2)):

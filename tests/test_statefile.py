@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxent.search import generate_constrained, random_constraint_params
+from maxent.search import generate_constrained, haar_random_state, random_constraint_params
 from maxent.statefile import (
     StateFileError,
     format_state,
@@ -9,7 +9,7 @@ from maxent.statefile import (
     read_state_file,
     write_state_file,
 )
-from maxent.states import epr_family, from_amplitudes, ghz
+from maxent.states import State, epr_family, from_amplitudes, ghz
 
 
 def test_round_trip_is_bit_identical():
@@ -35,6 +35,17 @@ def test_label_round_trip():
         format_state(st, " padded ")
     with pytest.raises(ValueError):
         format_state(st, "")
+
+
+def test_bool_qubit_count_reads_back():
+    # a bool is an integer; the state stores the int, so its document reads back
+    for st in (State(True, [1.0, 0.0]), haar_random_state(True, 4)):
+        assert type(st.n_qubits) is int and st.n_qubits == 1
+        text = format_state(st, "one")
+        assert "\nn_qubits: 1\n" in text
+        back, label = parse_state(text)
+        assert label == "one" and back.n_qubits == 1
+        assert back.amplitudes.tobytes() == st.amplitudes.tobytes()
 
 
 def test_parse_normalizes_loose_input():
