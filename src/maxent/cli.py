@@ -237,6 +237,15 @@ def cmd_generate(args) -> int:
 # ----------------------------------------------------------------- search
 
 
+def _json_pairs(rows: list[str]) -> str:
+    """``json.dumps`` of the [re, im] pairs in state-file rows, at depth 1 of ``indent=2``.
+
+    ``format_state`` writes each float as its repr, which is also its JSON token.
+    """
+    pairs = ",\n".join(f"    [\n      {re},\n      {im}\n    ]" for re, im in map(str.split, rows))
+    return f"[\n{pairs}\n  ]"
+
+
 def cmd_search(args) -> int:
     if not 2 <= args.n <= MAX_QUBITS:
         raise ValueError(f"--n must be in [2, {MAX_QUBITS}], got {args.n}")
@@ -244,6 +253,11 @@ def cmd_search(args) -> int:
         args.n, args.starts, args.tol, args.seed, max_iter=args.max_iter
     )
     best = outcomes[0]
+    if args.json or args.out:  # one rendering serves --out and best_amplitudes
+        text = format_state(best.state, f"search n={args.n} seed={args.seed}")
+    if args.out:  # before stdout, so that a failed write prints nothing
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.json:
         doc = {
             "n": args.n,
@@ -263,9 +277,14 @@ def cmd_search(args) -> int:
                 }
                 for k, o in enumerate(outcomes, start=1)
             ],
-            "best_amplitudes": best.state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
+            "best_amplitudes": None,  # spliced in below; no other token can read like it
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
+        amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
+        _emit(
+            json.dumps(doc, indent=2, sort_keys=True).replace(
+                '"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1
+            )
+        )
     else:
         lines = [
             f"search n={args.n} starts={args.starts} tol={_fmt(args.tol)} seed={args.seed}",
@@ -281,8 +300,6 @@ def cmd_search(args) -> int:
         )
         lines.append(f"best entropies (nats): {entropies}")
         _emit("\n".join(lines))
-    if args.out:
-        write_state_file(args.out, best.state, f"search n={args.n} seed={args.seed}")
     return 0 if best.converged else 1
 
 

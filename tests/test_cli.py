@@ -9,9 +9,9 @@ from maxent import cli
 from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.measurement import local_expectations
-from maxent.search import haar_random_state
+from maxent.search import haar_random_state, multi_start
 from maxent.statefile import format_state, parse_state, read_state_file, write_state_file
-from maxent.states import epr_family, example_state, from_amplitudes, ghz
+from maxent.states import State, epr_family, example_state, from_amplitudes, ghz
 
 LN2 = math.log(2.0)
 
@@ -424,9 +424,60 @@ def test_generate_unwritable_out_exit_2(capsys, tmp_path):
 
 def test_search_unwritable_out_exit_2(capsys, tmp_path):
     path = str(tmp_path / "no-such-dir" / "x.txt")
-    code, _, err = run(capsys, "search", "--n", "2", "--starts", "1", "--out", path)
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "search", "--n", "2", "--starts", "1", *mode, "--out", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and path in err and "Traceback" not in err
+
+
+def _stdlib_search_document(n, starts, seed):
+    """The search --json document, built and encoded with json.dumps alone."""
+    outcomes = multi_start(n, starts, 1e-12, seed)
+    doc = {
+        "n": n,
+        "starts": starts,
+        "tol": 1e-12,
+        "seed": seed,
+        "results": [
+            {
+                "rank": k,
+                "seed": o.seed,
+                "iterations": o.iterations,
+                "final_cost": o.final_cost,
+                "converged": o.converged,
+                "stop_reason": o.stop_reason,
+                "cost_evals": o.cost_evals,
+                "escapes": o.escapes,
+            }
+            for k, o in enumerate(outcomes, start=1)
+        ],
+        "best_amplitudes": outcomes[0].state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", outcomes[0].state
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_json_and_out_match_the_stdlib_rendering(capsys, tmp_path, n):
+    seed = 10 + n
+    path = tmp_path / "best.txt"
+    code, out, _ = run(
+        capsys, "search", "--n", str(n), "--starts", "2", "--seed", str(seed),
+        "--json", "--out", str(path),
+    )
+    expected, best = _stdlib_search_document(n, 2, seed)
+    assert code == 0
+    assert out == expected
+    assert path.read_text(encoding="utf-8") == format_state(best, f"search n={n} seed={seed}")
+
+
+def test_json_pairs_matches_json_dumps_on_edge_floats():
+    flat = [0.1, 0.0, 5e-324, 1e-09, -0.6, -0.0, -0.0, 0.7937253933193772]
+    state = State(2, np.array(flat).view(complex))
+    assert np.linalg.norm(state.amplitudes) == 1.0
+    assert state.amplitudes.tobytes() == np.array(flat).tobytes()  # kept as given, -0.0 too
+    rows = format_state(state).splitlines()[-state.dim:]
+    pairs = [flat[k:k + 2] for k in range(0, len(flat), 2)]
+    assert '{\n  "a": ' + cli._json_pairs(rows) + "\n}" == json.dumps({"a": pairs}, indent=2)
 
 
 def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):

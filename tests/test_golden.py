@@ -49,6 +49,7 @@ CASES = {
         1,
     ),
     "search": (None, ("search", "--n", "3", "--starts", "4", "--seed", "2", "--json"), 0),
+    "search_text": (None, ("search", "--n", "3", "--starts", "4", "--seed", "2"), 0),
 }
 
 
