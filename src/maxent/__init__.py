@@ -58,7 +58,6 @@ from .states import (
     EXAMPLE_STATE_NAMES,
     State,
     as_coefficient_matrix,
-    basis_label,
     epr_family,
     example_state,
     from_amplitudes,
@@ -83,7 +82,6 @@ __all__ = [
     "apply_single_site",
     "as_coefficient_matrix",
     "axes_from_chars",
-    "basis_label",
     "born_probabilities",
     "commutator_defect",
     "constraint_check",

@@ -253,11 +253,11 @@ def cmd_search(args) -> int:
         args.n, args.starts, args.tol, args.seed, max_iter=args.max_iter
     )
     best = outcomes[0]
-    if args.json or args.out:  # one rendering serves --out and best_amplitudes
-        text = format_state(best.state, f"search n={args.n} seed={args.seed}")
+    label = f"search n={args.n} seed={args.seed}"
     if args.out:  # before stdout, so that a failed write prints nothing
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        text = write_state_file(args.out, best.state, label)
+    elif args.json:
+        text = format_state(best.state, label)
     if args.json:
         doc = {
             "n": args.n,
@@ -426,7 +426,7 @@ def cmd_sample(args) -> int:
     means, products = (m.tolist() for m in empirical_moments(record))
     nats_table = mutual_information_matrix(record).tolist()
     expectations = [
-        {"site": i + 1, "value": m, "std_err": math.sqrt(max(1.0 - m * m, 0.0) / record.shots)}
+        {"site": i + 1, "value": m, "std_err": math.sqrt((1.0 - m * m) / record.shots)}
         for i, m in enumerate(means)
     ]
     correlations, infos = [], []
@@ -438,7 +438,7 @@ def cmd_sample(args) -> int:
                     "sites": [i + 1, j + 1],
                     "product_mean": prod,
                     "covariance": prod - means[i] * means[j],
-                    "std_err": math.sqrt(max(1.0 - prod * prod, 0.0) / record.shots),
+                    "std_err": math.sqrt((1.0 - prod * prod) / record.shots),
                 }
             )
             nats = nats_table[i][j]
@@ -601,7 +601,6 @@ def main(argv=None) -> int:
         args, extras = command.parse_known_args(argv[1:])
         if extras:
             _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # StateFileError is a ValueError

@@ -20,10 +20,17 @@ MAX_QUBITS = 8
 STATE_NORM_TOL = 1e-9
 
 
+def _check_n(n_qubits: int) -> int:
+    """The qubit count as an int, checked to be in [1, 8]; a float is a TypeError."""
+    n = operator.index(n_qubits)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
 def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
     """A flat complex128 view or copy of a finite length-2^n vector, 1 <= n <= 8."""
-    if not 1 <= operator.index(n_qubits) <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    n_qubits = _check_n(n_qubits)
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.size != 1 << n_qubits:
         raise ValueError(

@@ -176,8 +176,6 @@ def correlation_matrix(state: State, site_a: int, site_b: int) -> CorrelationMat
     One entry of :func:`correlation_matrices`: t[i - 1, j - 1] is the
     covariance of axis i at site_a and axis j at site_b.
     """
-    if state.n_qubits < 2:
-        raise ValueError("correlation matrix needs at least 2 qubits")
     if site_a == site_b:
         raise ValueError("correlation matrix requires two distinct sites")
     site_a, site_b = _check_site(state.n_qubits, site_a), _check_site(state.n_qubits, site_b)

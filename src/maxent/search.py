@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS
+from .linalg import _check_n
 from .measurement import _images
 from .states import State, _unit
 
@@ -90,14 +90,6 @@ def random_constraint_params(seed) -> ConstraintParams:
     r = math.sqrt(_HALF * rng.random())
     alpha, beta, delta = rng.uniform(0.0, 2.0 * math.pi, size=3)
     return ConstraintParams(r=r, alpha=alpha, beta=beta, delta=delta)
-
-
-def _check_n(n: int) -> int:
-    """The qubit count as an int, checked to be in [1, 8]; a float is a TypeError."""
-    n = operator.index(n)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    return n
 
 
 def _haar_direction(n: int, seed) -> np.ndarray:

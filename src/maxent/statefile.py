@@ -59,8 +59,7 @@ def format_state(state: State, label: str | None = None) -> str:
 def _field(lines: list[tuple[int, str]], pos: int, key: str, required: bool):
     if pos >= len(lines):
         if required:
-            last = lines[-1][0] if lines else 1
-            raise StateFileError(last, f"missing '{key}:' field")
+            raise StateFileError(lines[-1][0], f"missing '{key}:' field")
         return None, pos
     lineno, text = lines[pos]
     prefix = key + ":"
@@ -129,11 +128,12 @@ def parse_state(text: str) -> tuple[State, str | None]:
     return state, label if label else None
 
 
-def write_state_file(path, state: State, label: str | None = None) -> None:
-    """Write a state document; a rejected label leaves ``path`` untouched."""
+def write_state_file(path, state: State, label: str | None = None) -> str:
+    """Write a state document and return it; a rejected label leaves ``path`` untouched."""
     text = format_state(state, label)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return text
 
 
 def read_state_file(path) -> tuple[State, str | None]:
@@ -142,4 +142,6 @@ def read_state_file(path) -> tuple[State, str | None]:
             text = fh.read()
     except OSError as exc:
         raise StateFileError(None, f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StateFileError(None, f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     return parse_state(text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, STATE_NORM_TOL, _require_amplitudes
+from .linalg import STATE_NORM_TOL, _require_amplitudes
 
 INGEST_NORM_FLOOR = 1e-12
 
@@ -30,18 +30,8 @@ _EXACT_NORM_WINDOW = 4e-16
 _BITS_TO_SYMBOLS = str.maketrans("01", "+-")
 
 
-def basis_label(index: int, n_qubits: int) -> str:
-    """+/- label of the basis ket at ``index`` in an ``n_qubits`` register."""
-    index, n_qubits = operator.index(index), operator.index(n_qubits)
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    if not 0 <= index < (1 << n_qubits):
-        raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-    return _ket_label(index, n_qubits)
-
-
 def _ket_label(index: int, n_qubits: int) -> str:
-    """:func:`basis_label` without its checks, for Python ints in range."""
+    """+/- label of the basis ket at ``index`` (a Python int in range) of an n-qubit register."""
     # The bit set above the first site keeps leading zeros; [3:] drops "0b1".
     return bin(index | 1 << n_qubits)[3:].translate(_BITS_TO_SYMBOLS)
 
@@ -105,14 +95,11 @@ def from_amplitudes(raw) -> State:
     count recorded.
     """
     amps = np.array(raw, dtype=np.complex128).reshape(-1)
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes contain non-finite entries")
     size = amps.size
     n = size.bit_length() - 1
     if size < 2 or size != (1 << n):
         raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    amps = _require_amplitudes(amps, n)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(amps))
     if not math.isfinite(norm):

@@ -10,7 +10,13 @@ from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.measurement import local_expectations
 from maxent.search import haar_random_state, multi_start
-from maxent.statefile import format_state, parse_state, read_state_file, write_state_file
+from maxent.statefile import (
+    StateFileError,
+    format_state,
+    parse_state,
+    read_state_file,
+    write_state_file,
+)
 from maxent.states import State, epr_family, example_state, from_amplitudes, ghz
 
 LN2 = math.log(2.0)
@@ -285,6 +291,29 @@ def test_verify_fault_injection(capsys):
     assert "result: FAIL" in out
 
 
+# (n_qubits, satisfied) of each state that verify --trials 8 --seed 0 hands to
+# criterion_check, in call order. The goldens pin only pass counts; this pins the draws.
+VERIFY_CRITERION_CALLS = (
+    [(2, True)] * 8  # constructive
+    # lu_invariance: the state and its rotation, per trial
+    + [(2, True), (2, True), (3, True), (3, True), (2, False), (2, False), (3, False), (3, False)] * 2
+    + [(2, False), (3, False)] * 4  # commutator's biased draws
+)
+
+
+def test_verify_hands_the_recorded_states_to_criterion_check(capsys, monkeypatch):
+    calls, check = [], cli.criterion_check
+
+    def spy(state, tolerance):
+        report = check(state, tolerance)
+        calls.append((state.n_qubits, report.satisfied))
+        return report
+
+    monkeypatch.setattr(cli, "criterion_check", spy)
+    assert run(capsys, "verify", "--trials", "8", "--seed", "0")[0] == 0
+    assert calls == VERIFY_CRITERION_CALLS
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "2", "--json")
     assert code == 0
@@ -485,6 +514,18 @@ def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2
     assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("sample", "--bases", "z")])
+def test_undecodable_file_is_an_error_naming_it(capsys, tmp_path, argv):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text (")
+    with pytest.raises(StateFileError) as exc:
+        read_state_file(path)
+    assert exc.value.line is None
 
 
 def test_main_builds_no_parser(capsys, tmp_path, monkeypatch):

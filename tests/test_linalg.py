@@ -3,6 +3,7 @@ import pytest
 
 from maxent.entanglement import site_marginals
 from maxent.linalg import apply_single_site, partial_trace_single_site
+from maxent.search import haar_random_state, multi_start
 from maxent.states import State, from_amplitudes
 
 import oracles
@@ -58,6 +59,27 @@ def test_partial_trace_rejects_raw_input_that_is_not_a_state():
         partial_trace_single_site(np.array([1.0, 0, 0]), 2, 1)
     with pytest.raises(ValueError, match="site"):
         partial_trace_single_site(np.array([1.0, 0, 0, 0]), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "take_n",
+    [
+        lambda n: State(n, [1.0, 0.0]),
+        lambda n: apply_single_site([1.0, 0.0], n, 1, np.eye(2)),
+        lambda n: partial_trace_single_site([1.0, 0.0], n, 1),
+        lambda n: haar_random_state(n, 1),
+        lambda n: multi_start(n, 1, 1e-12, seed=1),
+    ],
+    ids=[
+        "State", "apply_single_site", "partial_trace_single_site", "haar_random_state", "multi_start"
+    ],
+)
+def test_every_qubit_count_is_checked_alike(take_n):
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, 8\], got {bad}$"):
+            take_n(bad)
+    with pytest.raises(TypeError):
+        take_n(2.0)
 
 
 @pytest.mark.parametrize(

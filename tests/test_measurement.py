@@ -194,6 +194,14 @@ def test_correlation_matrix_examples():
         correlation_matrix(bell, 1, 1)
 
 
+def test_correlation_matrix_on_one_qubit_is_a_site_error():
+    one = from_amplitudes([1.0, 0.0])
+    with pytest.raises(ValueError, match="distinct sites"):
+        correlation_matrix(one, 1, 1)
+    with pytest.raises(ValueError, match=r"^site must be in \[1, 1\], got 2$"):
+        correlation_matrix(one, 1, 2)
+
+
 def test_correlation_matrix_equality():
     cm = correlation_matrix(ghz("+"), 1, 2)
     assert cm == correlation_matrix(ghz("+"), 1, 2)

@@ -6,8 +6,8 @@ import pytest
 from maxent.states import (
     EXAMPLE_STATE_NAMES,
     State,
+    _ket_label,
     as_coefficient_matrix,
-    basis_label,
     epr_family,
     example_state,
     from_amplitudes,
@@ -21,21 +21,12 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_basis_order_first_symbol_most_significant():
-    assert basis_label(2, 2) == "-+"
-    assert basis_label(0, 3) == "+++"
+    assert _ket_label(2, 2) == "-+"
+    assert _ket_label(0, 3) == "+++"
     for n in range(1, 9):
         for i in range(1 << n):
-            label = basis_label(i, n)
+            label = _ket_label(i, n)
             assert label == "".join("+" if v > 0 else "-" for v in oracles.outcome_tuple(i, n))
-    assert basis_label(np.uint8(255), np.uint8(8)) == "-" * 8
-    assert basis_label(np.int8(5), np.int8(3)) == "-+-"
-
-
-def test_basis_label_rejects_junk():
-    with pytest.raises(ValueError):
-        basis_label(4, 2)
-    with pytest.raises(TypeError):
-        basis_label(2.0, 2)
 
 
 def test_state_is_immutable_copy():
@@ -78,10 +69,12 @@ def test_from_amplitudes_rejects_bad_input():
         from_amplitudes([1.0])  # single amplitude, no qubits
     with pytest.raises(ValueError):
         from_amplitudes([0.0] * 4)  # zero norm
-    with pytest.raises(ValueError):
-        from_amplitudes([1.0] + [0.0] * 511)  # 9 qubits
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be in \[1, 8\], got 9$"):
+        from_amplitudes([1.0] + [0.0] * 511)
+    with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
         from_amplitudes([np.nan, 0.0])
+    with pytest.raises(ValueError, match="^amplitude count 3 "):  # the length is checked first
+        from_amplitudes([np.nan, 0.0, 0.0])
 
 
 def test_epr_families():
