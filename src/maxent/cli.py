@@ -9,6 +9,7 @@ sample (seeded measurement shots). Exit codes: 0 success or verdict pass,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -66,6 +67,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _dumps(doc) -> str:
+    """The one JSON layout of every ``--json`` document."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -93,8 +99,7 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
     t = correlation_matrices(state).tolist()
     pairs = [
         {"sites": [i + 1, j + 1], "t": t[i][j]}
-        for i in range(state.n_qubits)
-        for j in range(i + 1, state.n_qubits)
+        for i, j in itertools.combinations(range(state.n_qubits), 2)
     ]
     doc = {
         "n_qubits": state.n_qubits,
@@ -177,17 +182,13 @@ def cmd_analyze(args) -> int:
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
     if args.json:
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(_dumps(doc))
     else:
         _emit(_render_analysis(doc))
     return 0
 
 
 # --------------------------------------------------------------- generate
-
-
-def _branch_value(text: str) -> float:
-    return math.pi if text == "+pi" else -math.pi
 
 
 def cmd_generate(args) -> int:
@@ -215,7 +216,7 @@ def cmd_generate(args) -> int:
                 alpha=args.alpha,
                 beta=args.beta,
                 delta=args.delta,
-                branch=_branch_value(args.branch),
+                branch=math.pi if args.branch == "+pi" else -math.pi,
             )
             label = (
                 f"constrained r={_fmt(args.r)} alpha={_fmt(args.alpha)}"
@@ -238,7 +239,7 @@ def cmd_generate(args) -> int:
 
 
 def _json_pairs(rows: list[str]) -> str:
-    """``json.dumps`` of the [re, im] pairs in state-file rows, at depth 1 of ``indent=2``.
+    """:func:`_dumps` of the [re, im] pairs in state-file rows, at depth 1 of its layout.
 
     ``format_state`` writes each float as its repr, which is also its JSON token.
     """
@@ -280,11 +281,7 @@ def cmd_search(args) -> int:
             "best_amplitudes": None,  # spliced in below; no other token can read like it
         }
         amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
-        _emit(
-            json.dumps(doc, indent=2, sort_keys=True).replace(
-                '"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1
-            )
-        )
+        _emit(_dumps(doc).replace('"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1))
     else:
         lines = [
             f"search n={args.n} starts={args.starts} tol={_fmt(args.tol)} seed={args.seed}",
@@ -399,13 +396,8 @@ def cmd_verify(args) -> int:
         rows.append({"property": name, "passes": passes, "trials": args.trials})
     all_pass = all(row["passes"] == args.trials for row in rows)
     if args.json:
-        _emit(
-            json.dumps(
-                {"trials": args.trials, "seed": args.seed, "all_pass": all_pass, "properties": rows},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        doc = {"trials": args.trials, "seed": args.seed, "all_pass": all_pass, "properties": rows}
+        _emit(_dumps(doc))
     else:
         lines = [
             f"{row['property']:<26} {row['passes']}/{row['trials']} pass" for row in rows
@@ -430,19 +422,18 @@ def cmd_sample(args) -> int:
         for i, m in enumerate(means)
     ]
     correlations, infos = [], []
-    for i in range(state.n_qubits):
-        for j in range(i + 1, state.n_qubits):
-            prod = products[i][j]
-            correlations.append(
-                {
-                    "sites": [i + 1, j + 1],
-                    "product_mean": prod,
-                    "covariance": prod - means[i] * means[j],
-                    "std_err": math.sqrt((1.0 - prod * prod) / record.shots),
-                }
-            )
-            nats = nats_table[i][j]
-            infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
+    for i, j in itertools.combinations(range(n), 2):
+        prod = products[i][j]
+        correlations.append(
+            {
+                "sites": [i + 1, j + 1],
+                "product_mean": prod,
+                "covariance": prod - means[i] * means[j],
+                "std_err": math.sqrt((1.0 - prod * prod) / record.shots),
+            }
+        )
+        nats = nats_table[i][j]
+        infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
     if args.json:
         doc = {
             "bases": bases,
@@ -453,7 +444,7 @@ def cmd_sample(args) -> int:
             "correlations": correlations,
             "mutual_information": infos,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(_dumps(doc))
         return 0
     lines = [f"bases={bases} seed={record.seed} shots={record.shots}"]
     lines += (f"{label} {count}" for label, count in rows)

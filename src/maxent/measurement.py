@@ -190,20 +190,13 @@ def born_probabilities(state: State, bases) -> np.ndarray:
     significant site first) encode +1 as 0 and -1 as 1. Computed by rotating
     each site into the eigenbasis of its chosen Pauli.
     """
-    bases = _check_bases(state, bases)
-    rotated = state.amplitudes
-    for site, axis in enumerate(bases, start=1):
-        rotated = _apply_site(rotated, site, _EIGENBASIS[axis].conj().T)
-    return np.abs(rotated) ** 2
-
-
-def _check_bases(state: State, bases) -> tuple[int, ...]:
     bases = tuple(bases)
     if len(bases) != state.n_qubits:
-        raise ValueError(
-            f"got {len(bases)} measurement axes for {state.n_qubits} qubits"
-        )
-    return tuple(_check_axis(axis) for axis in bases)
+        raise ValueError(f"got {len(bases)} measurement axes for {state.n_qubits} qubits")
+    rotated = state.amplitudes
+    for site, axis in enumerate(bases, start=1):
+        rotated = _apply_site(rotated, site, _EIGENBASIS[_check_axis(axis)].conj().T)
+    return np.abs(rotated) ** 2
 
 
 def axes_from_chars(text: str) -> tuple[int, ...]:
@@ -274,13 +267,13 @@ def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
     PCG64 seeded with ``seed``, so equal inputs always give the same
     record. Outcomes with exactly zero probability are never produced.
     """
-    bases = _check_bases(state, bases)
+    bases = tuple(bases)
+    probs = born_probabilities(state, bases)
     shots, seed = operator.index(shots), operator.index(seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
-    probs = born_probabilities(state, bases)
     support = np.flatnonzero(probs)
     # Renormalizing over the support keeps rounding from tripping numpy's
     # check that the probabilities sum to at most 1.

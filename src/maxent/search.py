@@ -106,11 +106,6 @@ def haar_random_state(n: int, seed) -> State:
     return State(n_qubits=n, amplitudes=_haar_direction(n, seed))
 
 
-def _haar_start(n: int, seed) -> np.ndarray:
-    """``haar_random_state(n, seed).amplitudes`` without the State, for a checked n."""
-    return _unit(_haar_direction(n, seed))
-
-
 def haar_random_su2(seed) -> np.ndarray:
     """Haar-random 2x2 special unitary via QR of a complex Gaussian matrix."""
     rng = np.random.default_rng(seed)
@@ -255,7 +250,6 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
         live = still
         jac = _jacobian(x, nn, images, e)
         jjt = jac @ jac.transpose(0, 2, 1)
-        floors = _DAMPING_FLOOR * jjt.diagonal(0, 1, 2).sum(axis=1) / e.shape[1]
         try:
             y = np.linalg.solve(jjt, e[..., None])
         except np.linalg.LinAlgError:
@@ -271,7 +265,7 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
             taken = [r.offer(c, cost, False) for r, c, cost in zip(live, cand, costs)]
         for k, r in enumerate(live):
             if not taken[k]:
-                tail = _candidates(r, x[k], e[k], jac[k], jjt[k], floors[k], tried)
+                tail = _candidates(r, x[k], e[k], jac[k], jjt[k], tried)
                 r.stuck = not any(r.offer(c, cost_raw(c, n), kicked) for c, kicked in tail)
         # When every start took its batched candidate, its images are the next round's.
         stacked = all(taken)
@@ -296,7 +290,7 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
     ]
 
 
-def _candidates(run, psi, e, jac, jjt, floor, tried):
+def _candidates(run, psi, e, jac, jjt, tried):
     """One start's candidates after its batched step failed, as (candidate, kicked).
 
     First the damped steps: mu starts at 0 and after each step becomes
@@ -304,6 +298,7 @@ def _candidates(run, psi, e, jac, jjt, floor, tried):
     already tried it. Then the kicks: random tangent directions from the
     start's own generator, built at its first kick.
     """
+    floor = _DAMPING_FLOOR * np.trace(jjt) / e.size
     mu = 0.0
     for t in range(_DAMPING_TRIES):
         if t or not tried:
@@ -355,7 +350,7 @@ def multi_start(
     n = _check_n(n)
     words = np.random.SeedSequence(seed).generate_state(starts, dtype=np.uint64)
     seeds = [int(word) for word in words]
-    initial = [_haar_start(n, s) for s in seeds]
+    initial = [_unit(_haar_direction(n, s)) for s in seeds]
     batch = max(1, _IMAGE_BUDGET // (48 * n << n))
     outcomes = []
     for lo in range(0, starts, batch):

@@ -91,24 +91,23 @@ def from_amplitudes(raw) -> State:
     """Build a state from raw amplitudes, normalizing on ingest.
 
     The input length must be a power of two between 2 and 256 and the norm
-    must exceed 1e-12; the vector is rescaled to unit norm and the qubit
-    count recorded.
+    must exceed 1e-12; the vector is rescaled to unit norm, and the returned
+    :class:`State` checks the qubit count and that every entry is finite.
     """
     amps = np.array(raw, dtype=np.complex128).reshape(-1)
     size = amps.size
     n = size.bit_length() - 1
     if size < 2 or size != (1 << n):
         raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-    amps = _require_amplitudes(amps, n)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(amps))
-    if not math.isfinite(norm):
+    if math.isinf(norm) and np.isfinite(amps).all():
         # Finite entries whose squares overflow: bring the largest part to 1.
         amps = amps / np.max(np.abs(amps.view(np.float64)))
         norm = float(np.linalg.norm(amps))
     if norm <= INGEST_NORM_FLOOR:
         raise ValueError("amplitude vector has (near) zero norm")
-    if abs(norm - 1.0) > _EXACT_NORM_WINDOW:
+    if math.isfinite(norm) and abs(norm - 1.0) > _EXACT_NORM_WINDOW:
         amps = amps / norm
     return State(n_qubits=n, amplitudes=amps)
 

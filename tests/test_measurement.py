@@ -321,6 +321,30 @@ def test_sample_outcomes_takes_an_integer_shot_count():
     assert type(rec.shots) is int and sum(rec.counts.values()) == 5
 
 
+def test_sample_outcomes_checks_the_bases_before_shots_and_seed():
+    # born_probabilities is the one bases check, and sample_outcomes calls it
+    # before it reads shots or seed
+    st = ghz("+")
+    for bases, message in (
+        ((3, 3), "^got 2 measurement axes for 3 qubits$"),
+        ((3, 7, 3), "^axis must be 1, 2 or 3, got 7$"),
+    ):
+        for shots, seed in ((0, 1), (2**63, 1), (5, -1)):
+            with pytest.raises(ValueError, match=message):
+                sample_outcomes(st, bases, shots, seed)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_outcomes(st, (3, 2.0, 3), 0, 1)
+
+
+def test_sample_outcomes_takes_any_iterable_of_axes():
+    st = ghz("+")
+    want = sample_outcomes(st, (1, 2, 3), 1000, 5)
+    for bases in ((axis for axis in (1, 2, 3)), np.array([1, 2, 3]), (True, 2, 3)):
+        rec = sample_outcomes(st, bases, 1000, 5)
+        assert rec == want and rec.bases == (1, 2, 3)
+        assert all(type(axis) is int for axis in rec.bases)
+
+
 def test_sample_outcomes_never_draws_a_zero_probability_last_outcome():
     # The last outcome, --, has probability exactly 0 in zz.
     st = from_amplitudes([1.0, 1.0, 1.0, 0.0])

@@ -28,6 +28,7 @@ from maxent.search import (
 )
 from maxent.states import (
     State,
+    _unit,
     as_coefficient_matrix,
     epr_family,
     example_state,
@@ -257,10 +258,10 @@ def test_multi_start_draws_the_haar_random_state_vectors():
     for n, seed in second_division.items():
         drawn = search._haar_direction(n, seed)
         assert abs(float(np.linalg.norm(drawn)) - 1.0) > 4e-16
-        assert search._haar_start(n, seed).tobytes() != drawn.tobytes()
+        assert _unit(drawn).tobytes() != drawn.tobytes()
     for n in range(1, 9):
         for seed in (0, 1, 2**64 - 1, second_division.get(n, 2)):
-            start = search._haar_start(n, seed)
+            start = _unit(search._haar_direction(n, seed))
             assert start.tobytes() == haar_random_state(n, seed).amplitudes.tobytes()
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         multi_start(2.0, 4, 1e-12, seed=1)
@@ -434,9 +435,9 @@ def test_lockstep_singular_stack_falls_back_per_start(monkeypatch):
     unsolved = []
     candidates = search._candidates
 
-    def spy(run, psi, e, jac, jjt, floor, tried):
+    def spy(run, psi, e, jac, jjt, tried):
         unsolved.append(not tried)
-        return candidates(run, psi, e, jac, jjt, floor, tried)
+        return candidates(run, psi, e, jac, jjt, tried)
 
     monkeypatch.setattr(search, "_candidates", spy)
     for seed in range(4):

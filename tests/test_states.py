@@ -62,6 +62,14 @@ def test_from_amplitudes_survives_norm_overflow():
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, -math.inf)])
+def test_from_amplitudes_leaves_non_finite_entries_to_state(bad):
+    # Beside an entry whose square overflows, only finite vectors are
+    # rescaled, so State reports the bad entry without an inf/inf warning.
+    with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
+        from_amplitudes([bad, 1e308])
+
+
 def test_from_amplitudes_rejects_bad_input():
     with pytest.raises(ValueError):
         from_amplitudes([1.0, 0, 0])  # not a power of two
@@ -69,6 +77,9 @@ def test_from_amplitudes_rejects_bad_input():
         from_amplitudes([1.0])  # single amplitude, no qubits
     with pytest.raises(ValueError):
         from_amplitudes([0.0] * 4)  # zero norm
+    # the norm comes before the qubit count, which State checks
+    with pytest.raises(ValueError, match=r"^amplitude vector has \(near\) zero norm$"):
+        from_amplitudes([0.0] * 512)
     with pytest.raises(ValueError, match=r"^n must be in \[1, 8\], got 9$"):
         from_amplitudes([1.0] + [0.0] * 511)
     with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
