@@ -72,12 +72,6 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------- analyze
 
 
@@ -172,7 +166,7 @@ def _render_analysis(doc: dict) -> str:
         s1, s2 = doc["schmidt_coefficients"]
         lines.append(f"schmidt coefficients: {_fmt(s1)} {_fmt(s2)}")
         lines.append(f"trace invariant: {_fmt(doc['trace_invariant'])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def cmd_analyze(args) -> int:
@@ -181,10 +175,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
-    if args.json:
-        _emit(_dumps(doc))
-    else:
-        _emit(_render_analysis(doc))
+    print(_dumps(doc) if args.json else _render_analysis(doc))
     return 0
 
 
@@ -231,7 +222,7 @@ def cmd_generate(args) -> int:
     if args.out:
         write_state_file(args.out, state, label)
     else:
-        _emit(format_state(state, label))
+        sys.stdout.write(format_state(state, label))
     return 0
 
 
@@ -247,6 +238,19 @@ def _json_pairs(rows: list[str]) -> str:
     return f"[\n{pairs}\n  ]"
 
 
+def _render_search(doc: dict) -> str:
+    lines = [
+        f"search n={doc['n']} starts={doc['starts']} tol={_fmt(doc['tol'])} seed={doc['seed']}",
+        "rank  converged  iterations  final_cost            seed",
+    ]
+    lines += (
+        f"{r['rank']:>4}  {str(r['converged']).lower():<9}  {r['iterations']:>10}"
+        f"  {r['final_cost']:<20.9g}  {r['seed']}"
+        for r in doc["results"]
+    )
+    return "\n".join(lines)
+
+
 def cmd_search(args) -> int:
     if not 2 <= args.n <= MAX_QUBITS:
         raise ValueError(f"--n must be in [2, {MAX_QUBITS}], got {args.n}")
@@ -259,44 +263,34 @@ def cmd_search(args) -> int:
         text = write_state_file(args.out, best.state, label)
     elif args.json:
         text = format_state(best.state, label)
+    doc = {
+        "n": args.n,
+        "starts": args.starts,
+        "tol": args.tol,
+        "seed": args.seed,
+        "results": [
+            {
+                "rank": k,
+                "seed": o.seed,
+                "iterations": o.iterations,
+                "final_cost": o.final_cost,
+                "converged": o.converged,
+                "stop_reason": o.stop_reason,
+                "cost_evals": o.cost_evals,
+                "escapes": o.escapes,
+            }
+            for k, o in enumerate(outcomes, start=1)
+        ],
+        "best_amplitudes": None,  # spliced in below; no other token can read like it
+    }
     if args.json:
-        doc = {
-            "n": args.n,
-            "starts": args.starts,
-            "tol": args.tol,
-            "seed": args.seed,
-            "results": [
-                {
-                    "rank": k,
-                    "seed": o.seed,
-                    "iterations": o.iterations,
-                    "final_cost": o.final_cost,
-                    "converged": o.converged,
-                    "stop_reason": o.stop_reason,
-                    "cost_evals": o.cost_evals,
-                    "escapes": o.escapes,
-                }
-                for k, o in enumerate(outcomes, start=1)
-            ],
-            "best_amplitudes": None,  # spliced in below; no other token can read like it
-        }
         amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
-        _emit(_dumps(doc).replace('"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1))
+        print(_dumps(doc).replace('"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1))
     else:
-        lines = [
-            f"search n={args.n} starts={args.starts} tol={_fmt(args.tol)} seed={args.seed}",
-            "rank  converged  iterations  final_cost            seed",
-        ]
-        for k, o in enumerate(outcomes, start=1):
-            lines.append(
-                f"{k:>4}  {str(o.converged).lower():<9}  {o.iterations:>10}"
-                f"  {o.final_cost:<20.9g}  {o.seed}"
-            )
         entropies = " ".join(
             _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
         )
-        lines.append(f"best entropies (nats): {entropies}")
-        _emit("\n".join(lines))
+        print(f"{_render_search(doc)}\nbest entropies (nats): {entropies}")
     return 0 if best.converged else 1
 
 
@@ -358,11 +352,10 @@ def _verify_commutator(k, rng, _args) -> bool:
     commutes = site_marginals(local_expectations(state))[2].max() <= 1e-9
     # draw the biased state even when the first half failed, so the stream
     # position of every later trial does not depend on verdicts
-    noisy_crit = criterion_check(haar_random_state(n, rng), 0.1)
-    for _ in range(100):
+    for _ in range(101):
+        noisy_crit = criterion_check(haar_random_state(n, rng), 0.1)
         if noisy_crit.max_abs_expectation >= 0.1:
             break
-        noisy_crit = criterion_check(haar_random_state(n, rng), 0.1)
     return commutes and site_marginals(noisy_crit.expectations)[2].max() >= 1e-3
 
 
@@ -386,6 +379,14 @@ _VERIFY_PROPERTIES = (
 )
 
 
+def _render_verify(doc: dict) -> str:
+    lines = [
+        f"{row['property']:<26} {row['passes']}/{row['trials']} pass" for row in doc["properties"]
+    ]
+    lines.append("result: " + ("all pass" if doc["all_pass"] else "FAIL"))
+    return "\n".join(lines)
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
@@ -395,26 +396,39 @@ def cmd_verify(args) -> int:
         passes = sum(bool(prop(k, rng, args)) for k in range(args.trials))
         rows.append({"property": name, "passes": passes, "trials": args.trials})
     all_pass = all(row["passes"] == args.trials for row in rows)
-    if args.json:
-        doc = {"trials": args.trials, "seed": args.seed, "all_pass": all_pass, "properties": rows}
-        _emit(_dumps(doc))
-    else:
-        lines = [
-            f"{row['property']:<26} {row['passes']}/{row['trials']} pass" for row in rows
-        ]
-        lines.append("result: " + ("all pass" if all_pass else "FAIL"))
-        _emit("\n".join(lines))
+    doc = {"trials": args.trials, "seed": args.seed, "all_pass": all_pass, "properties": rows}
+    print(_dumps(doc) if args.json else _render_verify(doc))
     return 0 if all_pass else 1
 
 
 # ----------------------------------------------------------------- sample
 
+def _render_sample(doc: dict) -> str:
+    lines = [f"bases={doc['bases']} seed={doc['seed']} shots={doc['shots']}"]
+    lines += (f"{label} {count}" for label, count in doc["counts"].items())
+    for e in doc["expectations"]:
+        lines.append(
+            f"site {e['site']} mean {_fmt(e['value'])}  std err {_fmt(e['std_err'])}"
+        )
+    for c in doc["correlations"]:
+        i, j = c["sites"]
+        lines.append(
+            f"sites ({i},{j}) product mean {_fmt(c['product_mean'])}"
+            f"  covariance {_fmt(c['covariance'])}  std err {_fmt(c['std_err'])}"
+        )
+    for m in doc["mutual_information"]:
+        i, j = m["sites"]
+        lines.append(
+            f"sites ({i},{j}) mutual information {_fmt(m['nats'])} nats"
+            f"  {_fmt(m['bits'])} bits"
+        )
+    return "\n".join(lines)
+
+
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
     record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
-    bases = args.bases.lower()  # axes_from_chars accepted exactly these x, y, z
     counts, n = record.binned.tolist(), state.n_qubits
-    rows = [(_ket_label(k, n), counts[k]) for k in np.flatnonzero(record.binned).tolist()]
     means, products = (m.tolist() for m in empirical_moments(record))
     nats_table = mutual_information_matrix(record).tolist()
     expectations = [
@@ -434,37 +448,17 @@ def cmd_sample(args) -> int:
         )
         nats = nats_table[i][j]
         infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
-    if args.json:
-        doc = {
-            "bases": bases,
-            "shots": record.shots,
-            "seed": record.seed,
-            "counts": dict(rows),
-            "expectations": expectations,
-            "correlations": correlations,
-            "mutual_information": infos,
-        }
-        _emit(_dumps(doc))
-        return 0
-    lines = [f"bases={bases} seed={record.seed} shots={record.shots}"]
-    lines += (f"{label} {count}" for label, count in rows)
-    for e in expectations:
-        lines.append(
-            f"site {e['site']} mean {_fmt(e['value'])}  std err {_fmt(e['std_err'])}"
-        )
-    for c in correlations:
-        i, j = c["sites"]
-        lines.append(
-            f"sites ({i},{j}) product mean {_fmt(c['product_mean'])}"
-            f"  covariance {_fmt(c['covariance'])}  std err {_fmt(c['std_err'])}"
-        )
-    for m in infos:
-        i, j = m["sites"]
-        lines.append(
-            f"sites ({i},{j}) mutual information {_fmt(m['nats'])} nats"
-            f"  {_fmt(m['bits'])} bits"
-        )
-    _emit("\n".join(lines))
+    doc = {
+        "bases": args.bases.lower(),  # axes_from_chars accepted exactly these x, y, z
+        "shots": record.shots,
+        "seed": record.seed,
+        # index order, which is also the sorted key order of _dumps: "+" < "-"
+        "counts": {_ket_label(k, n): counts[k] for k in np.flatnonzero(record.binned).tolist()},
+        "expectations": expectations,
+        "correlations": correlations,
+        "mutual_information": infos,
+    }
+    print(_dumps(doc) if args.json else _render_sample(doc))
     return 0
 
 

@@ -149,11 +149,14 @@ def ghz(sign: str) -> State:
 
 # Named reference states used throughout the test and verification suites.
 # All of them have every single-site Pauli expectation equal to zero.
-EXAMPLE_STATE_NAMES = (
-    "two_qubit_balanced",
-    "two_qubit_balanced_partner",
-    "three_qubit_balanced",
-)
+_EXAMPLES = {
+    "two_qubit_balanced": (2, np.array([1j, 1.0, 1.0, 1j]) / 2.0),
+    "two_qubit_balanced_partner": (2, np.array([1.0, 1j, 1j, 1.0]) / 2.0),
+    "three_qubit_balanced": (
+        3, np.array([1.0, -1j, 1.0, 1j, 1j, 1.0, -1j, 1.0]) / math.sqrt(8.0)
+    ),
+}
+EXAMPLE_STATE_NAMES = tuple(_EXAMPLES)
 
 
 def example_state(name: str) -> State:
@@ -163,16 +166,9 @@ def example_state(name: str) -> State:
     ``two_qubit_balanced_partner``  (1, i, i, 1)/2, orthogonal to the above
     ``three_qubit_balanced``        (1, -i, 1, i, i, 1, -i, 1)/sqrt(8)
     """
-    if name == "two_qubit_balanced":
-        amps = np.array([1j, 1.0, 1.0, 1j], dtype=np.complex128) / 2.0
-        return State(2, amps)
-    if name == "two_qubit_balanced_partner":
-        amps = np.array([1.0, 1j, 1j, 1.0], dtype=np.complex128) / 2.0
-        return State(2, amps)
-    if name == "three_qubit_balanced":
-        amps = np.array([1.0, -1j, 1.0, 1j, 1j, 1.0, -1j, 1.0], dtype=np.complex128)
-        return State(3, amps / math.sqrt(8.0))
-    raise ValueError(f"unknown example state {name!r}; known: {', '.join(EXAMPLE_STATE_NAMES)}")
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example state {name!r}; known: {', '.join(EXAMPLE_STATE_NAMES)}")
+    return State(*_EXAMPLES[name])
 
 
 def as_coefficient_matrix(state: State) -> np.ndarray:

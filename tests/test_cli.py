@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,12 @@ from maxent import cli
 from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.measurement import local_expectations
-from maxent.search import haar_random_state, multi_start
+from maxent.search import (
+    generate_constrained,
+    haar_random_state,
+    multi_start,
+    random_constraint_params,
+)
 from maxent.statefile import (
     StateFileError,
     format_state,
@@ -591,3 +600,75 @@ def test_main_parses_as_the_whole_tree_does(capsys, tmp_path, monkeypatch):
         assert got == want, argv
         codes.add(got[0])
     assert codes == {0, 2}
+
+
+def _text_and_json(capsys, argv):
+    """(exit code, stdout) of argv in text mode and with --json."""
+    return _exit_and_streams(capsys, argv)[:2], _exit_and_streams(capsys, [*argv, "--json"])[:2]
+
+
+@pytest.fixture
+def state_files(tmp_path):
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("constrained", "ghz-", "haar8")}
+    write_state_file(paths["constrained"], generate_constrained(random_constraint_params(5)))
+    write_state_file(paths["ghz-"], ghz("-"))
+    write_state_file(paths["haar8"], haar_random_state(8, 3))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("analysis", ("analyze", "{constrained}")),
+        ("analysis", ("analyze", "{ghz-}")),
+        ("analysis", ("analyze", "{haar8}")),
+        ("sample", ("sample", "{ghz-}", "--bases", "xyz", "--shots", "5000", "--seed", "4")),
+        ("sample", ("sample", "{haar8}", "--bases", "xyzzyxxz", "--shots", "1000000")),
+        ("verify", ("verify", "--trials", "3", "--seed", "2")),
+        ("verify", ("verify", "--trials", "16", "--seed", "5", "--perturb", "1e-9",
+                    "--constraint-tol", "1e-10")),
+    ],
+)
+def test_text_output_is_the_rendering_of_the_json_document(capsys, state_files, command, argv):
+    argv = [a.format(**state_files) for a in argv]
+    (code, text), (json_code, json_out) = _text_and_json(capsys, argv)
+    doc = json.loads(json_out)
+    assert code == json_code
+    assert text == getattr(cli, f"_render_{command}")(doc) + "\n"
+    if "1000000" in argv:
+        assert len(doc["counts"]) == 256  # every label, in index order in both modes
+
+
+def test_search_text_table_is_the_rendering_of_the_json_results(capsys):
+    argv = ["search", "--n", "3", "--starts", "4", "--seed", "2"]
+    (code, text), (json_code, json_out) = _text_and_json(capsys, argv)
+    doc = json.loads(json_out)
+    lines = text.splitlines()
+    assert code == json_code == 0
+    assert "\n".join(lines[:-1]) == cli._render_search(doc)
+    assert lines[-1].startswith("best entropies (nats): ")
+    rows = [line.split() for line in lines[2:-1]]
+    assert len(rows) == len(doc["results"]) == 4
+    for (rank, converged, iterations, final_cost, seed), result in zip(rows, doc["results"]):
+        assert int(rank) == result["rank"] and converged == str(result["converged"]).lower()
+        assert int(iterations) == result["iterations"] and int(seed) == result["seed"]
+        assert float(final_cost) == float(f"{result['final_cost']:.9g}")
+
+
+def test_python_dash_m_entry_point_matches_main(capsys, tmp_path):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    path = str(tmp_path / "ghz.txt")
+    write_state_file(path, ghz("+"))
+    calls = [
+        (["analyze", path, "--json"], 0),
+        (["search", "--n", "3", "--starts", "4", "--seed", "2"], 0),
+        (["verify", "--trials", "6", "--perturb", "1e-2"], 1),
+        (["analyze", str(tmp_path / "missing.txt")], 2),
+    ]
+    for argv, code in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxent.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == _exit_and_streams(capsys, argv)
+        assert proc.returncode == code
