@@ -67,9 +67,18 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _dumps(doc) -> str:
-    """The one JSON layout of every ``--json`` document."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _dumps(doc: dict, **blocks: str) -> str:
+    """The one JSON layout of every ``--json`` document.
+
+    Each keyword names a top-level key and gives its value already rendered in
+    this layout at depth 1: the key is dumped as null, and that null is swapped
+    for the text. Only a top-level key follows a newline and exactly two spaces,
+    so no string value and no deeper key can match.
+    """
+    text = json.dumps({**doc, **dict.fromkeys(blocks)}, indent=2, sort_keys=True)
+    for key, block in blocks.items():
+        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {block}', 1)
+    return text
 
 
 # ---------------------------------------------------------------- analyze
@@ -90,9 +99,9 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
         }
         for k, b in enumerate(crit.expectations)
     ]
-    t = correlation_matrices(state).tolist()
+    t = correlation_matrices(state)
     pairs = [
-        {"sites": [i + 1, j + 1], "t": t[i][j]}
+        {"sites": [i + 1, j + 1], "t": t[i, j].tolist()}
         for i, j in itertools.combinations(range(state.n_qubits), 2)
     ]
     doc = {
@@ -121,6 +130,23 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
         doc["schmidt_coefficients"] = list(schmidt_coefficients(state))
         doc["trace_invariant"] = trace_invariant(state)
     return doc
+
+
+# One correlation_matrices entry in the _dumps layout at depth 2: its sites, then T by rows.
+_PAIR_JSON = (
+    '    {\n      "sites": [\n        %d,\n        %d\n      ],\n      "t": [\n'
+    + ",\n".join(["        [\n          %r,\n          %r,\n          %r\n        ]"] * 3)
+    + "\n      ]\n    }"
+)
+
+
+def _json_correlations(pairs: list[dict]) -> str:
+    """:func:`_dumps` of the ``correlation_matrices`` entries, at depth 1 of its layout.
+
+    Every T of a valid ``State`` is finite, so each float's repr is its JSON token.
+    """
+    body = ",\n".join(_PAIR_JSON % (*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in pairs)
+    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def _render_analysis(doc: dict) -> str:
@@ -175,7 +201,10 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
-    print(_dumps(doc) if args.json else _render_analysis(doc))
+    if args.json:
+        print(_dumps(doc, correlation_matrices=_json_correlations(doc["correlation_matrices"])))
+    else:
+        print(_render_analysis(doc))
     return 0
 
 
@@ -281,11 +310,9 @@ def cmd_search(args) -> int:
             }
             for k, o in enumerate(outcomes, start=1)
         ],
-        "best_amplitudes": None,  # spliced in below; no other token can read like it
     }
     if args.json:
-        amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
-        print(_dumps(doc).replace('"best_amplitudes": null', f'"best_amplitudes": {amplitudes}', 1))
+        print(_dumps(doc, best_amplitudes=_json_pairs(text.splitlines()[-best.state.dim:])))
     else:
         entropies = " ".join(
             _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()

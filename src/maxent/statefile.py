@@ -77,9 +77,9 @@ def parse_state(text: str) -> tuple[State, str | None]:
     number on any malformed field.
     """
     lines = [
-        (i, raw.strip())
+        (i, line)
         for i, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip()
+        if (line := raw.strip())
     ]
     if not lines:
         raise StateFileError(1, "empty document")

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -11,11 +12,18 @@ import pytest
 
 from maxent import cli
 from maxent.cli import main
-from maxent.entanglement import commutator_defect, reduced_entropy
-from maxent.measurement import local_expectations
+from maxent.entanglement import (
+    CONSTRAINT_TOL,
+    CRITERION_TOL,
+    apply_local_unitaries,
+    commutator_defect,
+    reduced_entropy,
+)
+from maxent.measurement import correlation_matrices, local_expectations
 from maxent.search import (
     generate_constrained,
     haar_random_state,
+    haar_random_su2,
     multi_start,
     random_constraint_params,
 )
@@ -516,6 +524,61 @@ def test_json_pairs_matches_json_dumps_on_edge_floats():
     rows = format_state(state).splitlines()[-state.dim:]
     pairs = [flat[k:k + 2] for k in range(0, len(flat), 2)]
     assert '{\n  "a": ' + cli._json_pairs(rows) + "\n}" == json.dumps({"a": pairs}, indent=2)
+
+
+def _analysis_input(kind, n, rng):
+    """A criterion (rotated GHZ_n), Haar or product state on n qubits."""
+    if kind == "haar":
+        return haar_random_state(n, rng)
+    if kind == "criterion":
+        amps = np.zeros(1 << n)
+        amps[[0, -1]] = 2 ** -0.5
+        return apply_local_unitaries(State(n, amps), [haar_random_su2(rng) for _ in range(n)])
+    # z, x and y eigenstates in turn: T holds exact zeros beside tiny round-off
+    kets = [[1, 0], [2 ** -0.5, -(2 ** -0.5)], [2 ** -0.5, 1j * 2 ** -0.5]]
+    amps = np.ones(1)
+    for k in range(n):
+        amps = np.kron(amps, kets[k % 3])
+    return from_amplitudes(amps)
+
+
+def _stdlib_analysis_document(state, label):
+    """The analyze --json text, its correlation_matrices built from plain lists and
+    the whole document encoded with json.dumps alone."""
+    doc = cli._analysis_document(state, label, CRITERION_TOL, CONSTRAINT_TOL)
+    t = correlation_matrices(state).tolist()
+    doc["correlation_matrices"] = [
+        {"sites": [i + 1, j + 1], "t": t[i][j]}
+        for i, j in itertools.combinations(range(state.n_qubits), 2)
+    ]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# no criterion state at n = 1: every one-qubit pure state has a unit Bloch vector
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in range(1, 9) for kind in ("criterion", "haar", "product")
+     if n > 1 or kind != "criterion"],
+)
+def test_analyze_json_matches_the_stdlib_rendering(capsys, tmp_path, n, kind):
+    state = _analysis_input(kind, n, np.random.default_rng(100 + n))
+    path = tmp_path / "state.txt"
+    for label in (None, '"correlation_matrices": null', ']},"t"', "\u03c8\u207a \u00e9tat"):
+        write_state_file(path, state, label)
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        assert out == _stdlib_analysis_document(*read_state_file(path))
+    if kind == "criterion":
+        assert json.loads(out)["criterion"]["satisfied"]
+
+
+def test_json_correlations_matches_json_dumps_on_edge_floats():
+    t = [[5e-324, -0.0, 1e-09], [1e16, 0.0, -1.0], [-5e-324, 0.1, -1e-09]]
+    pairs = [{"sites": [1, 2], "t": t}, {"sites": [7, 8], "t": t[::-1]}]
+    assert "-0.0" in json.dumps(t) and "1e+16" in json.dumps(t)
+    for entries in (pairs, pairs[:1], []):
+        rendered = '{\n  "a": ' + cli._json_correlations(entries) + "\n}"
+        assert rendered == json.dumps({"a": entries}, indent=2)
 
 
 def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):

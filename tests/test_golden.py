@@ -28,6 +28,7 @@ CASES = {
         ("analyze", "{path}"),
         0,
     ),
+    "analyze_ghz": (("generate", "ghz", "--sign", "+"), ("analyze", "{path}", "--json"), 0),
     "analyze_ghz_text": (("generate", "ghz", "--sign", "+"), ("analyze", "{path}"), 0),
     "sample": (
         ("generate", "ghz", "--sign", "-"),

@@ -69,6 +69,17 @@ def test_parse_tolerates_blank_lines_and_exponents():
     assert np.allclose(st.amplitudes, [0.7071067811865476, -0.7071067811865476j])
 
 
+def test_parse_strips_each_line_and_counts_blank_ones():
+    head = " format: maxent-state/1 \n\t\nn_qubits:  1\t\n  label:  a  b \namplitudes:\n 1 0 \n \n"
+    st, label = parse_state(head + "\t0  -0.0 \n\n")
+    assert label == "a  b"
+    assert st.amplitudes.tolist() == [1, 0]
+    with pytest.raises(StateFileError) as err:
+        parse_state(head + "\t0  0 0 \n")
+    assert err.value.line == 8
+    assert str(err.value) == "line 8: expected 're im' pair, got '0  0 0'"
+
+
 def _expect_error(text, fragment, line=None):
     with pytest.raises(StateFileError) as err:
         parse_state(text)
