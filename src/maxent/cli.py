@@ -51,7 +51,7 @@ from .statefile import format_state, read_state_file, write_state_file
 from .states import (
     EXAMPLE_STATE_NAMES,
     State,
-    _ket_label,
+    _ket_labels,
     as_coefficient_matrix,
     epr_family,
     example_state,
@@ -79,6 +79,16 @@ def _dumps(doc: dict, **blocks: str) -> str:
     for key, block in blocks.items():
         text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {block}', 1)
     return text
+
+
+def _json_list(entries) -> str:
+    """:func:`_dumps` of a list whose entries are already rendered at depth 2, at depth 1."""
+    body = ",\n".join(entries)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
+# A two-site "sites" entry in the _dumps layout at depth 3.
+_SITES_JSON = '      "sites": [\n        %d,\n        %d\n      ]'
 
 
 # ---------------------------------------------------------------- analyze
@@ -134,7 +144,9 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
 
 # One correlation_matrices entry in the _dumps layout at depth 2: its sites, then T by rows.
 _PAIR_JSON = (
-    '    {\n      "sites": [\n        %d,\n        %d\n      ],\n      "t": [\n'
+    "    {\n"
+    + _SITES_JSON
+    + ',\n      "t": [\n'
     + ",\n".join(["        [\n          %r,\n          %r,\n          %r\n        ]"] * 3)
     + "\n      ]\n    }"
 )
@@ -145,8 +157,7 @@ def _json_correlations(pairs: list[dict]) -> str:
 
     Every T of a valid ``State`` is finite, so each float's repr is its JSON token.
     """
-    body = ",\n".join(_PAIR_JSON % (*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in pairs)
-    return f"[\n{body}\n  ]" if body else "[]"
+    return _json_list(_PAIR_JSON % (*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in pairs)
 
 
 def _render_analysis(doc: dict) -> str:
@@ -452,10 +463,9 @@ def _render_sample(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_sample(args) -> int:
-    state, _label = read_state_file(args.path)
-    record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
-    counts, n = record.binned.tolist(), state.n_qubits
+def _sample_document(state: State, bases: str, shots: int, seed: int) -> dict:
+    record = sample_outcomes(state, axes_from_chars(bases), shots, seed)
+    counts, labels = record.binned.tolist(), _ket_labels(state.n_qubits)
     means, products = (m.tolist() for m in empirical_moments(record))
     nats_table = mutual_information_matrix(record).tolist()
     expectations = [
@@ -463,7 +473,7 @@ def cmd_sample(args) -> int:
         for i, m in enumerate(means)
     ]
     correlations, infos = [], []
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in itertools.combinations(range(state.n_qubits), 2):
         prod = products[i][j]
         correlations.append(
             {
@@ -475,17 +485,56 @@ def cmd_sample(args) -> int:
         )
         nats = nats_table[i][j]
         infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
-    doc = {
-        "bases": args.bases.lower(),  # axes_from_chars accepted exactly these x, y, z
+    return {
+        "bases": bases.lower(),  # axes_from_chars accepted exactly these x, y, z
         "shots": record.shots,
         "seed": record.seed,
         # index order, which is also the sorted key order of _dumps: "+" < "-"
-        "counts": {_ket_label(k, n): counts[k] for k in np.flatnonzero(record.binned).tolist()},
+        "counts": {labels[k]: counts[k] for k in np.flatnonzero(record.binned).tolist()},
         "expectations": expectations,
         "correlations": correlations,
         "mutual_information": infos,
     }
-    print(_dumps(doc) if args.json else _render_sample(doc))
+
+
+# The entries of sample's three lists in the _dumps layout at depth 2, keys sorted.
+_EXPECTATION_JSON = '    {\n      "site": %d,\n      "std_err": %r,\n      "value": %r\n    }'
+_CORRELATION_JSON = (
+    '    {\n      "covariance": %r,\n      "product_mean": %r,\n'
+    + _SITES_JSON
+    + ',\n      "std_err": %r\n    }'
+)
+_INFORMATION_JSON = '    {\n      "bits": %r,\n      "nats": %r,\n' + _SITES_JSON + "\n    }"
+
+
+def _json_sample_blocks(doc: dict) -> dict[str, str]:
+    """:func:`_dumps` of the four bulk keys of a ``sample`` document, at depth 1 of its layout.
+
+    Every float there is a finite Python float (ratios of counts, their square
+    roots and the plug-in information), so its repr is its JSON token; each
+    label is +/- text, which needs no escaping. ``counts`` is never empty: shots >= 1.
+    """
+    counts = ",\n".join(f'    "{label}": {count}' for label, count in doc["counts"].items())
+    return {
+        "counts": f"{{\n{counts}\n  }}",
+        "expectations": _json_list(
+            _EXPECTATION_JSON % (e["site"], e["std_err"], e["value"]) for e in doc["expectations"]
+        ),
+        "correlations": _json_list(
+            _CORRELATION_JSON % (c["covariance"], c["product_mean"], *c["sites"], c["std_err"])
+            for c in doc["correlations"]
+        ),
+        "mutual_information": _json_list(
+            _INFORMATION_JSON % (m["bits"], m["nats"], *m["sites"])
+            for m in doc["mutual_information"]
+        ),
+    }
+
+
+def cmd_sample(args) -> int:
+    state, _label = read_state_file(args.path)
+    doc = _sample_document(state, args.bases, args.shots, args.seed)
+    print(_dumps(doc, **_json_sample_blocks(doc)) if args.json else _render_sample(doc))
     return 0
 
 

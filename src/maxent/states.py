@@ -13,6 +13,8 @@ is phase-invariant.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -27,13 +29,12 @@ INGEST_NORM_FLOOR = 1e-12
 # writing and re-reading a canonical state is bit-identical.
 _EXACT_NORM_WINDOW = 4e-16
 
-_BITS_TO_SYMBOLS = str.maketrans("01", "+-")
 
-
-def _ket_label(index: int, n_qubits: int) -> str:
-    """+/- label of the basis ket at ``index`` (a Python int in range) of an n-qubit register."""
-    # The bit set above the first site keeps leading zeros; [3:] drops "0b1".
-    return bin(index | 1 << n_qubits)[3:].translate(_BITS_TO_SYMBOLS)
+@functools.cache
+def _ket_labels(n_qubits: int) -> tuple[str, ...]:
+    """+/- labels of the 2^n basis kets of an n-qubit register, in index order."""
+    # product varies its last position fastest: the first site is most significant.
+    return tuple(map("".join, itertools.product("+-", repeat=n_qubits)))
 
 
 def _unit(amps: np.ndarray) -> np.ndarray:

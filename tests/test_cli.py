@@ -19,7 +19,14 @@ from maxent.entanglement import (
     commutator_defect,
     reduced_entropy,
 )
-from maxent.measurement import correlation_matrices, local_expectations
+from maxent.measurement import (
+    axes_from_chars,
+    correlation_matrices,
+    empirical_moments,
+    local_expectations,
+    mutual_information_matrix,
+    sample_outcomes,
+)
 from maxent.search import (
     generate_constrained,
     haar_random_state,
@@ -35,6 +42,8 @@ from maxent.statefile import (
     write_state_file,
 )
 from maxent.states import State, epr_family, example_state, from_amplitudes, ghz
+
+import oracles
 
 LN2 = math.log(2.0)
 
@@ -579,6 +588,99 @@ def test_json_correlations_matches_json_dumps_on_edge_floats():
     for entries in (pairs, pairs[:1], []):
         rendered = '{\n  "a": ' + cli._json_correlations(entries) + "\n}"
         assert rendered == json.dumps({"a": entries}, indent=2)
+
+
+def _stdlib_sample_document(state, bases, shots, seed):
+    """The sample --json text, built from plain lists and encoded with json.dumps alone."""
+    n = state.n_qubits
+    record = sample_outcomes(state, axes_from_chars(bases), shots, seed)
+    means, products = (m.tolist() for m in empirical_moments(record))
+    nats = mutual_information_matrix(record).tolist()
+    pairs = list(itertools.combinations(range(n), 2))
+    doc = {
+        "bases": bases,
+        "shots": shots,
+        "seed": seed,
+        "counts": {
+            "".join("+" if v > 0 else "-" for v in oracles.outcome_tuple(k, n)): count
+            for k, count in enumerate(record.binned.tolist())
+            if count
+        },
+        "expectations": [
+            {"site": i + 1, "value": m, "std_err": math.sqrt((1.0 - m * m) / shots)}
+            for i, m in enumerate(means)
+        ],
+        "correlations": [
+            {
+                "sites": [i + 1, j + 1],
+                "product_mean": products[i][j],
+                "covariance": products[i][j] - means[i] * means[j],
+                "std_err": math.sqrt((1.0 - products[i][j] ** 2) / shots),
+            }
+            for i, j in pairs
+        ],
+        "mutual_information": [
+            {"sites": [i + 1, j + 1], "nats": nats[i][j], "bits": nats[i][j] / LN2}
+            for i, j in pairs
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sample_json_matches_the_stdlib_rendering(capsys, tmp_path, n):
+    ghz_n = np.zeros(1 << n)
+    ghz_n[[0, -1]] = 2 ** -0.5
+    inputs = [  # (state, bases, outcomes seen at 10^6 shots when fixed)
+        (_analysis_input("criterion", n, np.random.default_rng(200 + n)), "xyz" * 3, None),
+        (State(n, ghz_n), "z" * n, 2),
+        (from_amplitudes(np.eye(1 << n)[0]), "x" * n, 1 << n),
+    ]
+    path = tmp_path / "state.txt"
+    for state, bases, support in inputs:
+        write_state_file(path, state)
+        for shots in (10**4, 10**6):
+            argv = ("sample", str(path), "--bases", bases[:n], "--shots", str(shots), "--seed", "9")
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0
+            assert out == _stdlib_sample_document(read_state_file(path)[0], bases[:n], shots, 9)
+            if support is not None and shots == 10**6:
+                assert len(json.loads(out)["counts"]) == support
+
+
+def test_sample_json_blocks_match_json_dumps_on_edge_floats():
+    floats = [-0.0, 5e-324, 1e16, 1e-09, -1e-09, 0.1]
+    rolled = floats[1:] + floats[:1]
+    doc = {
+        "counts": {"+-": 3, "-+": 2**62},
+        "expectations": [
+            {"site": k + 1, "value": v, "std_err": w}
+            for k, (v, w) in enumerate(zip(floats, rolled))
+        ],
+        "correlations": [
+            {"sites": [1, k + 2], "product_mean": v, "covariance": w, "std_err": v}
+            for k, (v, w) in enumerate(zip(floats, rolled))
+        ],
+        "mutual_information": [
+            {"sites": [k + 1, 8], "nats": v, "bits": w}
+            for k, (v, w) in enumerate(zip(rolled, floats))
+        ],
+    }
+    assert "-0.0" in json.dumps(floats) and "1e+16" in json.dumps(floats)
+    one_qubit = {**doc, "correlations": [], "mutual_information": []}  # n = 1 has no pairs
+    for d in (doc, one_qubit):
+        for key, block in cli._json_sample_blocks(d).items():
+            expected = json.dumps({"a": d[key]}, indent=2, sort_keys=True)
+            assert '{\n  "a": ' + block + "\n}" == expected, key
+    # np.float64 reprs as "np.float64(...)" under numpy 2, so the templates need Python floats
+    doc = cli._sample_document(haar_random_state(3, 4), "xyz", 1000, 5)
+    entries = doc["expectations"] + doc["correlations"] + doc["mutual_information"]
+    values = [v for e in entries for k, v in e.items() if k not in ("site", "sites")]
+    assert len(values) == 3 * 2 + 3 * 3 + 3 * 2
+    assert all(type(v) is float for v in values)
+    sites = [v for e in entries for v in ([e["site"]] if "site" in e else e["sites"])]
+    assert all(type(v) is int for v in sites)
+    assert all(type(c) is int for c in doc["counts"].values())
 
 
 def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):

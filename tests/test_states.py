@@ -6,7 +6,7 @@ import pytest
 from maxent.states import (
     EXAMPLE_STATE_NAMES,
     State,
-    _ket_label,
+    _ket_labels,
     as_coefficient_matrix,
     epr_family,
     example_state,
@@ -21,11 +21,12 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_basis_order_first_symbol_most_significant():
-    assert _ket_label(2, 2) == "-+"
-    assert _ket_label(0, 3) == "+++"
+    assert _ket_labels(2)[2] == "-+"
+    assert _ket_labels(3)[0] == "+++"
     for n in range(1, 9):
-        for i in range(1 << n):
-            label = _ket_label(i, n)
+        labels = _ket_labels(n)
+        assert len(labels) == 1 << n and _ket_labels(n) is labels
+        for i, label in enumerate(labels):
             assert label == "".join("+" if v > 0 else "-" for v in oracles.outcome_tuple(i, n))
 
 
