@@ -87,8 +87,8 @@ def _json_list(entries) -> str:
     return f"[\n{body}\n  ]" if body else "[]"
 
 
-# A two-site "sites" entry in the _dumps layout at depth 3.
-_SITES_JSON = '      "sites": [\n        %d,\n        %d\n      ]'
+# The two-int "sites" member of a pair entry in the _dumps layout at depth 3.
+_PAIR_SITES_JSON = '      "sites": [\n        %d,\n        %d\n      ]'
 
 
 # ---------------------------------------------------------------- analyze
@@ -145,7 +145,7 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
 # One correlation_matrices entry in the _dumps layout at depth 2: its sites, then T by rows.
 _PAIR_JSON = (
     "    {\n"
-    + _SITES_JSON
+    + _PAIR_SITES_JSON
     + ',\n      "t": [\n'
     + ",\n".join(["        [\n          %r,\n          %r,\n          %r\n        ]"] * 3)
     + "\n      ]\n    }"
@@ -158,6 +158,34 @@ def _json_correlations(pairs: list[dict]) -> str:
     Every T of a valid ``State`` is finite, so each float's repr is its JSON token.
     """
     return _json_list(_PAIR_JSON % (*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in pairs)
+
+
+# One sites entry in the _dumps layout at depth 2, keys sorted.
+_SITE_JSON = (
+    '    {\n      "commutator_defect": %r,\n'
+    '      "eigenvalues": [\n        %r,\n        %r\n      ],\n'
+    '      "entropy_bits": %r,\n      "entropy_nats": %r,\n'
+    '      "expectations": {\n        "x": %r,\n        "y": %r,\n        "z": %r\n      },\n'
+    '      "site": %d,\n'
+    '      "variances": {\n        "x": %r,\n        "y": %r,\n        "z": %r\n      }\n    }'
+)
+
+
+def _json_sites(sites: list[dict]) -> str:
+    """:func:`_dumps` of the ``sites`` entries, at depth 1 of its layout.
+
+    Every float there is a finite Python float (finite amplitudes; ``site_marginals``
+    clamps the spectrum and takes 0 ln 0 = 0), so each repr is its JSON token.
+    """
+    entries = []
+    for s in sites:
+        e, v = s["expectations"], s["variances"]
+        entries.append(
+            _SITE_JSON
+            % (s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
+               e["x"], e["y"], e["z"], s["site"], v["x"], v["y"], v["z"])
+        )
+    return _json_list(entries)
 
 
 def _render_analysis(doc: dict) -> str:
@@ -213,7 +241,8 @@ def cmd_analyze(args) -> int:
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
     if args.json:
-        print(_dumps(doc, correlation_matrices=_json_correlations(doc["correlation_matrices"])))
+        correlations = _json_correlations(doc["correlation_matrices"])
+        print(_dumps(doc, correlation_matrices=correlations, sites=_json_sites(doc["sites"])))
     else:
         print(_render_analysis(doc))
     return 0
@@ -501,10 +530,10 @@ def _sample_document(state: State, bases: str, shots: int, seed: int) -> dict:
 _EXPECTATION_JSON = '    {\n      "site": %d,\n      "std_err": %r,\n      "value": %r\n    }'
 _CORRELATION_JSON = (
     '    {\n      "covariance": %r,\n      "product_mean": %r,\n'
-    + _SITES_JSON
+    + _PAIR_SITES_JSON
     + ',\n      "std_err": %r\n    }'
 )
-_INFORMATION_JSON = '    {\n      "bits": %r,\n      "nats": %r,\n' + _SITES_JSON + "\n    }"
+_INFORMATION_JSON = '    {\n      "bits": %r,\n      "nats": %r,\n' + _PAIR_SITES_JSON + "\n    }"
 
 
 def _json_sample_blocks(doc: dict) -> dict[str, str]:

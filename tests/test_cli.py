@@ -572,7 +572,8 @@ def _stdlib_analysis_document(state, label):
 def test_analyze_json_matches_the_stdlib_rendering(capsys, tmp_path, n, kind):
     state = _analysis_input(kind, n, np.random.default_rng(100 + n))
     path = tmp_path / "state.txt"
-    for label in (None, '"correlation_matrices": null', ']},"t"', "\u03c8\u207a \u00e9tat"):
+    labels = (None, '"correlation_matrices": null', '"sites": null', ']},"t"', "\u03c8\u207a \u00e9tat")
+    for label in labels:
         write_state_file(path, state, label)
         code, out, _ = run(capsys, "analyze", str(path), "--json")
         assert code == 0
@@ -588,6 +589,36 @@ def test_json_correlations_matches_json_dumps_on_edge_floats():
     for entries in (pairs, pairs[:1], []):
         rendered = '{\n  "a": ' + cli._json_correlations(entries) + "\n}"
         assert rendered == json.dumps({"a": entries}, indent=2)
+
+
+def test_json_sites_matches_json_dumps_on_edge_floats():
+    floats = [-0.0, 5e-324, -5e-324, 1e16, 1e-09, -1e-09, 0.1]
+    sites = []
+    for k in range(8):
+        x = [floats[(k + i) % len(floats)] for i in range(11)]
+        sites.append({  # axes in reverse order: the template reads them by key
+            "site": k + 1,
+            "commutator_defect": x[0],
+            "eigenvalues": x[1:3],
+            "entropy_bits": x[3],
+            "entropy_nats": x[4],
+            "expectations": dict(zip("zyx", x[5:8])),
+            "variances": dict(zip("zyx", x[8:11])),
+        })
+    assert "-0.0" in json.dumps(floats) and "1e+16" in json.dumps(floats)
+    for entries in (sites[:1], sites):
+        rendered = '{\n  "a": ' + cli._json_sites(entries) + "\n}"
+        assert rendered == json.dumps({"a": entries}, indent=2, sort_keys=True)
+    # np.float64 reprs as "np.float64(...)" under numpy 2, so the template needs Python floats
+    for kind in ("haar", "product"):
+        state = _analysis_input(kind, 3, np.random.default_rng(7))
+        for s in cli._analysis_document(state, None, CRITERION_TOL, CONSTRAINT_TOL)["sites"]:
+            values = [
+                s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
+                *s["expectations"].values(), *s["variances"].values(),
+            ]
+            assert len(values) == 11 and all(type(v) is float for v in values)
+            assert type(s["site"]) is int
 
 
 def _stdlib_sample_document(state, bases, shots, seed):

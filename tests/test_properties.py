@@ -1,10 +1,13 @@
-"""Property tests of the state-file parser, the expectation kernel and the
-reduced entropies."""
+"""Property tests of the state-file parser, the expectation kernel, the
+reduced entropies and the spliced JSON blocks of the command line."""
+
+import json
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maxent import cli
 from maxent.entanglement import LN2, apply_local_unitaries, reduced_entropy
 from maxent.measurement import local_expectations
 from maxent.search import haar_random_su2
@@ -109,3 +112,54 @@ def test_entropies_invariant_under_local_unitaries(state, seed):
         before = reduced_entropy(state, site).entropy_nats
         after = reduced_entropy(moved, site).entropy_nats
         assert abs(before - after) <= 1e-9
+
+
+def _splices_as(block: str, value) -> bool:
+    """Whether ``block``, spliced in at depth 1, reads as json.dumps of ``value``."""
+    return '{\n  "a": ' + block + "\n}" == json.dumps({"a": value}, indent=2, sort_keys=True)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows):
+    """Each splice renderer assumes a finite float's repr is its JSON token."""
+    pairs = [x[k:k + 2] for x in rows for k in range(0, 10, 2)]
+    assert _splices_as(cli._json_pairs([f"{re!r} {im!r}" for re, im in pairs]), pairs)
+    pair_entries = [
+        {"sites": [k + 1, 8], "t": [x[0:3], x[3:6], x[6:9]]} for k, x in enumerate(rows)
+    ]
+    assert _splices_as(cli._json_correlations(pair_entries), pair_entries)
+    sites = [
+        {
+            "site": k + 1,
+            "commutator_defect": x[0],
+            "eigenvalues": x[1:3],
+            "entropy_bits": x[3],
+            "entropy_nats": x[4],
+            "expectations": dict(zip("xyz", x[5:8])),
+            "variances": dict(zip("xyz", x[8:11])),
+        }
+        for k, x in enumerate(rows)
+    ]
+    assert _splices_as(cli._json_sites(sites), sites)
+    sample = {
+        "counts": {"+-": len(rows)},
+        "expectations": [
+            {"site": k + 1, "value": x[0], "std_err": x[1]} for k, x in enumerate(rows)
+        ],
+        "correlations": [
+            {"sites": [k + 1, 8], "product_mean": x[2], "covariance": x[3], "std_err": x[4]}
+            for k, x in enumerate(rows)
+        ],
+        "mutual_information": [
+            {"sites": [k + 1, 8], "nats": x[5], "bits": x[6]} for k, x in enumerate(rows)
+        ],
+    }
+    for key, block in cli._json_sample_blocks(sample).items():
+        assert _splices_as(block, sample[key]), key
