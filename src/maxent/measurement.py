@@ -29,11 +29,11 @@ CHAR_TO_AXIS = {"x": 1, "y": 2, "z": 3}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Columns are the +1 and -1 eigenvectors of the corresponding Pauli.
-_EIGENBASIS = {
-    1: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128),
-    2: np.array([[_INV_SQRT2, _INV_SQRT2], [1.0j * _INV_SQRT2, -1.0j * _INV_SQRT2]], dtype=np.complex128),
-    3: np.eye(2, dtype=np.complex128),
+# Rotations into the x and y eigenbases: conjugate transposes of the matrices whose
+# columns are the +1 and -1 eigenvectors. The z eigenbasis is the computational one.
+_ROTATION = {
+    1: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128).conj().T,
+    2: np.array([[_INV_SQRT2, _INV_SQRT2], [1.0j * _INV_SQRT2, -1.0j * _INV_SQRT2]]).conj().T,
 }
 
 # numpy draws multinomial counts as int64.
@@ -188,14 +188,16 @@ def born_probabilities(state: State, bases) -> np.ndarray:
 
     Entry k is the probability of the outcome tuple whose bits (most
     significant site first) encode +1 as 0 and -1 as 1. Computed by rotating
-    each site into the eigenbasis of its chosen Pauli.
+    each x or y site into its Pauli's eigenbasis; z sites are not rotated (the
+    identity could flip only the sign of an exact zero, which |.|^2 erases).
     """
     bases = tuple(bases)
     if len(bases) != state.n_qubits:
         raise ValueError(f"got {len(bases)} measurement axes for {state.n_qubits} qubits")
     rotated = state.amplitudes
     for site, axis in enumerate(bases, start=1):
-        rotated = _apply_site(rotated, site, _EIGENBASIS[_check_axis(axis)].conj().T)
+        if (axis := _check_axis(axis)) != 3:
+            rotated = _apply_site(rotated, site, _ROTATION[axis])
     return np.abs(rotated) ** 2
 
 
@@ -207,9 +209,12 @@ def axes_from_chars(text: str) -> tuple[int, ...]:
         raise ValueError(f"basis characters must be x, y or z, got {text!r}") from exc
 
 
+@functools.cache
 def _bits(n_qubits: int) -> np.ndarray:
-    """Outcome table: entry [k, i] is 1 where site i+1 reads -1 in outcome k, else 0."""
-    return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+    """Read-only outcome table, one per n: [k, i] is 1 where site i+1 reads -1 in outcome k."""
+    bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -256,6 +261,27 @@ class ShotRecord:
         signs = 1 - 2 * _bits(len(self.bases))
         return {tuple(signs[k].tolist()): int(self.binned[k]) for k in np.flatnonzero(self.binned)}
 
+    @functools.cached_property
+    def _joint_counts(self) -> np.ndarray:
+        """Entry [x, y, i, j] counts the shots reading x at site i+1 and y at site j+1.
+
+        Outcome index 0 is +1 and 1 is -1, so [x, x, i, i] counts site i+1's
+        shots reading x. Every count, and every difference the estimators
+        form from them, lies in [-shots, shots], so int64 holds them exactly
+        for any valid ``shots``. The record and its counts are immutable, so
+        the table is built once per record, on first use, and is read-only.
+        """
+        bits = _bits(len(self.bases))
+        # One contraction counts the (-1, -1) shots; the other three entries
+        # follow from each site's -1 count on the diagonal.
+        both = (bits.T * self.binned) @ bits
+        minus = np.diagonal(both)
+        a_only = minus[:, None] - both
+        b_only = minus - both
+        joint = np.array([[(self.shots - minus[:, None]) - b_only, b_only], [a_only, both]])
+        joint.setflags(write=False)
+        return joint
+
 
 def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
     """Count ``shots`` i.i.d. outcome tuples from the exact Born distribution.
@@ -283,24 +309,6 @@ def sample_outcomes(state: State, bases, shots: int, seed: int) -> ShotRecord:
     return ShotRecord(bases=bases, shots=shots, binned=binned, seed=seed)
 
 
-def _joint_counts(record: ShotRecord) -> np.ndarray:
-    """Entry [x, y, i, j] counts the shots reading x at site i+1 and y at site j+1.
-
-    Outcome index 0 is +1 and 1 is -1, so [x, x, i, i] counts site i+1's
-    shots reading x. Every count, and every difference the estimators form
-    from them, lies in [-shots, shots], so int64 holds them exactly for any
-    valid ``shots``.
-    """
-    bits = _bits(len(record.bases))
-    # One contraction counts the (-1, -1) shots; the other three entries
-    # follow from each site's -1 count on the diagonal.
-    both = (bits.T * record.binned) @ bits
-    minus = np.diagonal(both)
-    a_only = minus[:, None] - both
-    b_only = minus - both
-    return np.array([[(record.shots - minus[:, None]) - b_only, b_only], [a_only, both]])
-
-
 def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
     """Sample means of every site's outcomes and of every pair's products.
 
@@ -309,7 +317,7 @@ def empirical_moments(record: ShotRecord) -> tuple[np.ndarray, np.ndarray]:
     of the outcomes at sites i+1 and j+1 (1 on the diagonal). Both are exact
     integer sums over the counts, divided by ``shots`` once.
     """
-    joint = _joint_counts(record)
+    joint = record._joint_counts
     means = np.diagonal(joint[0, 0] - joint[1, 1])
     # agree - disagree: each term lies in [0, shots].
     products = (joint[0, 0] + joint[1, 1]) - (joint[0, 1] + joint[1, 0])
@@ -337,7 +345,7 @@ def mutual_information_matrix(record: ShotRecord) -> np.ndarray:
     joint distribution of the record with the 0 ln 0 = 0 convention. Each
     pair's four joint counts are exact integers from one contraction.
     """
-    p = _joint_counts(record) / record.shots
+    p = record._joint_counts / record.shots
     # marginal[x, i] = p[x, x, i, i], the frequency of x at site i+1.
     marginal = np.diagonal(np.diagonal(p))
     independent = marginal[:, None, :, None] * marginal[None, :, None, :]

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from maxent.cli import _analysis_document
+from maxent.cli import _analysis_document, main
 from maxent.entanglement import commutator_defect, reduced_entropy
-from maxent.linalg import apply_single_site, partial_trace_single_site
+from maxent.linalg import _apply_site, apply_single_site, partial_trace_single_site
 from maxent.measurement import (
     AXES,
+    _bits,
     _image_tables,
     _images,
     CorrelationMatrix,
@@ -26,6 +28,8 @@ from maxent.measurement import (
     mutual_information_matrix,
     sample_outcomes,
 )
+from maxent.search import haar_random_state
+from maxent.statefile import write_state_file
 from maxent.states import epr_family, example_state, from_amplitudes, ghz
 
 import oracles
@@ -255,6 +259,46 @@ def test_born_probabilities_match_projector_oracle():
         born_probabilities(ghz("+"), (3, 3, 4))
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Columns are the +1 and -1 eigenvectors of each Pauli, sigma z included.
+_EIGENBASIS = {
+    1: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128),
+    2: np.array([[_INV_SQRT2, _INV_SQRT2], [1.0j * _INV_SQRT2, -1.0j * _INV_SQRT2]], dtype=np.complex128),
+    3: np.eye(2, dtype=np.complex128),
+}
+
+
+def _born_rotating_every_site(state, bases):
+    rotated = state.amplitudes
+    for site, axis in enumerate(bases, start=1):
+        rotated = _apply_site(rotated, site, _EIGENBASIS[axis].conj().T)
+    return np.abs(rotated) ** 2
+
+
+def test_born_probabilities_equal_rotating_every_site_to_the_bit():
+    # Leaving z sites unrotated may flip the sign of an exact zero amplitude
+    # only, so the probabilities keep their bits; exact zeros come from GHZ
+    # and |0...0>.
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        ghz_n = np.zeros(1 << n)
+        ghz_n[[0, -1]] = 1.0
+        states = [
+            haar_random_state(n, seed=n),
+            haar_random_state(n, seed=100 + n),
+            from_amplitudes(ghz_n),
+            from_amplitudes(np.eye(1 << n)[0]),
+        ]
+        if n <= 3:
+            all_bases = list(itertools.product(AXES, repeat=n))
+        else:
+            all_bases = [(3,) * n] + [tuple(int(a) for a in rng.integers(1, 4, size=n)) for _ in range(12)]
+        for st in states:
+            for bases in all_bases:
+                got = born_probabilities(st, bases)
+                assert got.tobytes() == _born_rotating_every_site(st, bases).tobytes(), (n, bases)
+
+
 def test_sample_outcomes_deterministic_and_consistent():
     bell = epr_family("varphi", 0.0)
     a = sample_outcomes(bell, (3, 3), 5000, seed=9)
@@ -457,9 +501,28 @@ def test_estimators_hold_counts_near_the_int64_limit():
         assert mutual_information(rec, a, b) == pytest.approx(want, abs=1e-15)
 
 
+def _estimates(rec):
+    """Every estimator's output on a record: arrays as bytes, then the per-site floats."""
+    n = len(rec.bases)
+    out = [a.tobytes() for a in (*empirical_moments(rec), mutual_information_matrix(rec))]
+    for a, b in itertools.product(range(1, n + 1), repeat=2):
+        out.append(
+            (empirical_expectation(rec, a), empirical_correlation(rec, a, b), mutual_information(rec, a, b))
+        )
+    return out
+
+
 def _check_record_against_oracles(rec):
     n = len(rec.bases)
     counts, shots = rec.counts, rec.shots
+    # The record's one joint table and the shared bit table are read-only;
+    # a used record estimates what a fresh, equal record does, to the bit.
+    with pytest.raises(ValueError, match="read-only"):
+        rec._joint_counts[1, 1, 0, 0] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        _bits(n)[0, 0] = 1
+    fresh = ShotRecord(bases=rec.bases, shots=shots, binned=rec.binned.copy(), seed=rec.seed)
+    assert _estimates(rec) == _estimates(fresh)
     means, products = empirical_moments(rec)
     assert means.shape == (n,) and products.shape == (n, n)
     assert mutual_information_matrix(rec).shape == (n, n)
@@ -505,3 +568,46 @@ def test_shot_kernel_matches_dict_oracles_on_sparse_records():
         }
         assert not rec.binned.flags.writeable
         _check_record_against_oracles(rec)
+
+
+def _spy_on_joint_table(monkeypatch):
+    """A list that gets each record whose joint-count table is built."""
+    table = ShotRecord.__dict__["_joint_counts"]
+    build, built = table.func, []
+
+    def spy(record):
+        built.append(record)
+        return build(record)
+
+    monkeypatch.setattr(table, "func", spy)
+    return built
+
+
+def test_joint_table_is_built_once_per_record(monkeypatch):
+    built = _spy_on_joint_table(monkeypatch)
+    rec = sample_outcomes(ghz("+"), (1, 2, 3), 1000, seed=5)
+    for _ in range(2):
+        empirical_moments(rec)
+        mutual_information_matrix(rec)
+        empirical_expectation(rec, 1)
+        empirical_correlation(rec, 1, 2)
+        mutual_information(rec, 2, 3)
+    assert built == [rec] and built[0] is rec
+    assert not rec._joint_counts.flags.writeable
+    # An equal record is a new record, with its own table.
+    fresh = ShotRecord(bases=rec.bases, shots=rec.shots, binned=rec.binned, seed=rec.seed)
+    assert _estimates(fresh) == _estimates(rec)
+    assert len(built) == 2 and built[1] is fresh
+    assert _bits(3) is _bits(3)
+
+
+def test_sample_command_builds_one_joint_table_per_op(monkeypatch, tmp_path):
+    built = _spy_on_joint_table(monkeypatch)
+    for n in (1, 2, 5, 8):
+        path = str(tmp_path / f"n{n}.state")
+        write_state_file(path, haar_random_state(n, seed=n))
+        for json_flag in (["--json"], []):
+            before = len(built)
+            argv = ["sample", path, "--bases", "xyzxyzxy"[:n], "--shots", "1000", "--seed", "4"]
+            assert main(argv + json_flag) == 0
+            assert len(built) == before + 1
