@@ -73,10 +73,11 @@ def _dumps(doc: dict, **blocks: str) -> str:
     Each keyword names a top-level key and gives its value already rendered in
     this layout at depth 1: the key is dumped as null, and that null is swapped
     for the text. Only a top-level key follows a newline and exactly two spaces,
-    so no string value and no deeper key can match.
+    so no string value and no deeper key can match. The keys are swapped last
+    first, so no search for a null runs through a block already swapped in.
     """
     text = json.dumps({**doc, **dict.fromkeys(blocks)}, indent=2, sort_keys=True)
-    for key, block in blocks.items():
+    for key, block in sorted(blocks.items(), reverse=True):
         text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {block}', 1)
     return text
 
@@ -307,6 +308,28 @@ def _json_pairs(rows: list[str]) -> str:
     return f"[\n{pairs}\n  ]"
 
 
+# One results entry in the _dumps layout at depth 2, keys sorted.
+_RESULT_JSON = (
+    '    {\n      "converged": %s,\n      "cost_evals": %d,\n      "escapes": %d,\n'
+    '      "final_cost": %r,\n      "iterations": %d,\n      "rank": %d,\n      "seed": %d,\n'
+    '      "stop_reason": "%s"\n    }'
+)
+
+
+def _json_results(results: list[dict]) -> str:
+    """:func:`_dumps` of the ``results`` entries, at depth 1 of its layout.
+
+    Every cost is a finite Python float, so its repr is its JSON token, and every
+    stop reason is one of three plain ASCII words.
+    """
+    return _json_list(
+        _RESULT_JSON
+        % ("true" if r["converged"] else "false", r["cost_evals"], r["escapes"], r["final_cost"],
+           r["iterations"], r["rank"], r["seed"], r["stop_reason"])
+        for r in results
+    )
+
+
 def _render_search(doc: dict) -> str:
     lines = [
         f"search n={doc['n']} starts={doc['starts']} tol={_fmt(doc['tol'])} seed={doc['seed']}",
@@ -352,7 +375,8 @@ def cmd_search(args) -> int:
         ],
     }
     if args.json:
-        print(_dumps(doc, best_amplitudes=_json_pairs(text.splitlines()[-best.state.dim:])))
+        amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
+        print(_dumps(doc, best_amplitudes=amplitudes, results=_json_results(doc["results"])))
     else:
         entropies = " ".join(
             _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
@@ -427,8 +451,10 @@ def _verify_commutator(k, rng, _args) -> bool:
 
 
 def _verify_entropy_coupling(_k, rng, _args) -> bool:
+    # ln 2 - S = sum_k r^(2k) / (2k(2k - 1)) lies in [r^2 / 2, r^2 ln 2] for Bloch length r
     b = local_expectations(haar_random_state(2, rng))
-    return bool(np.all(LN2 - site_marginals(b)[1] >= np.sum(b * b, axis=1) / 2 - 1e-12))
+    deficit, r2 = LN2 - site_marginals(b)[1], np.sum(b * b, axis=1)
+    return bool(np.all((r2 / 2 - 1e-12 <= deficit) & (deficit <= r2 * LN2 + 1e-12)))
 
 
 def _verify_orthogonality(_k, rng, _args) -> bool:

@@ -28,6 +28,7 @@ from maxent.measurement import (
     sample_outcomes,
 )
 from maxent.search import (
+    DEFAULT_MAX_ITER,
     generate_constrained,
     haar_random_state,
     haar_random_su2,
@@ -310,6 +311,22 @@ def test_verify_minimal_single_trial(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("entropy", [0.0, LN2])
+def test_verify_entropy_coupling_checks_both_sides_of_the_bound(monkeypatch, entropy):
+    # S = 0 gives ln 2 - S = ln 2 > r^2 ln 2 (only the upper side fails, as a
+    # Haar site has r < 1); S = ln 2 gives 0 < r^2 / 2 (only the lower side fails)
+    marginals = cli.site_marginals
+
+    def fake(b):
+        eigenvalues, entropies, defects = marginals(b)
+        return eigenvalues, np.full_like(entropies, entropy), defects
+
+    monkeypatch.setattr(cli, "site_marginals", fake)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert not cli._verify_entropy_coupling(0, rng, None)
+
+
 def test_verify_fault_injection(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "5", "--seed", "1", "--perturb", "1e-2")
     assert code == 1
@@ -485,13 +502,13 @@ def test_search_unwritable_out_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and path in err and "Traceback" not in err
 
 
-def _stdlib_search_document(n, starts, seed):
+def _stdlib_search_document(n, starts, seed, tol=1e-12, max_iter=DEFAULT_MAX_ITER):
     """The search --json document, built and encoded with json.dumps alone."""
-    outcomes = multi_start(n, starts, 1e-12, seed)
+    outcomes = multi_start(n, starts, tol, seed, max_iter=max_iter)
     doc = {
         "n": n,
         "starts": starts,
-        "tol": 1e-12,
+        "tol": tol,
         "seed": seed,
         "results": [
             {
@@ -523,6 +540,74 @@ def test_search_json_and_out_match_the_stdlib_rendering(capsys, tmp_path, n):
     assert code == 0
     assert out == expected
     assert path.read_text(encoding="utf-8") == format_state(best, f"search n={n} seed={seed}")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_json_of_unconverged_runs_matches_the_stdlib_rendering(capsys, n):
+    # one iteration leaves every start short of 1e-12, so each stops on max_iter
+    seed = 20 + n
+    code, out, _ = run(
+        capsys, "search", "--n", str(n), "--starts", "3", "--seed", str(seed),
+        "--max-iter", "1", "--json",
+    )
+    assert code == 1
+    assert out == _stdlib_search_document(n, 3, seed, max_iter=1)[0]
+    assert {(r["converged"], r["stop_reason"]) for r in json.loads(out)["results"]} == {
+        (False, "max_iter")
+    }
+    if n == 2:  # at tol 1e-60 the run ends stuck, after its damping ladder and kicks
+        code, out, _ = run(capsys, "search", "--n", "2", "--starts", "1", "--seed", "3",
+                           "--tol", "1e-60", "--json")
+        assert code == 1
+        assert out == _stdlib_search_document(2, 1, 3, tol=1e-60)[0]
+        assert json.loads(out)["results"][0]["stop_reason"] == "stuck"
+
+
+def test_json_results_matches_json_dumps_on_edge_values():
+    results = [
+        {
+            "rank": k + 1,
+            "seed": seed,
+            "iterations": k,
+            "final_cost": cost,
+            "converged": converged,
+            "stop_reason": reason,
+            "cost_evals": 3 * k + 1,
+            "escapes": k % 2,
+        }
+        for k, (cost, seed, reason, converged) in enumerate([
+            (0.0, 0, "converged", True),
+            (5e-324, 2**64 - 1, "converged", True),
+            (1e16, 2**64 - 1, "max_iter", False),
+            (0.1, 0, "stuck", False),
+        ])
+    ]
+    assert "5e-324" in json.dumps(results) and "1e+16" in json.dumps(results)
+    for entries in (results[:1], results):
+        rendered = '{\n  "a": ' + cli._json_results(entries) + "\n}"
+        assert rendered == json.dumps({"a": entries}, indent=2, sort_keys=True)
+
+
+def test_search_hands_the_results_template_python_scalars(capsys, monkeypatch):
+    # np.float64 reprs as "np.float64(...)" under numpy 2, so the template needs Python scalars
+    handed = []
+    render = cli._json_results
+
+    def spy(results):
+        handed.extend(results)
+        return render(results)
+
+    monkeypatch.setattr(cli, "_json_results", spy)
+    for argv in (("--n", "3"), ("--n", "8", "--starts", "2"), ("--n", "4", "--max-iter", "1"),
+                 ("--n", "2", "--starts", "1", "--tol", "1e-60")):
+        run(capsys, "search", *argv, "--seed", "5", "--json")
+    assert {r["stop_reason"] for r in handed} == {"converged", "max_iter", "stuck"}
+    types = {"final_cost": float, "converged": bool, "stop_reason": str}
+    for r in handed:
+        assert set(r) == {"rank", "seed", "iterations", "final_cost", "converged",
+                          "stop_reason", "cost_evals", "escapes"}
+        for key, value in r.items():
+            assert type(value) is types.get(key, int), key
 
 
 def test_json_pairs_matches_json_dumps_on_edge_floats():

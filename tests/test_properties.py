@@ -125,9 +125,10 @@ def _splices_as(block: str, value) -> bool:
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
         min_size=1,
         max_size=3,
-    )
+    ),
+    st.integers(0, 2**64 - 1),
 )
-def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows):
+def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows, seed):
     """Each splice renderer assumes a finite float's repr is its JSON token."""
     pairs = [x[k:k + 2] for x in rows for k in range(0, 10, 2)]
     assert _splices_as(cli._json_pairs([f"{re!r} {im!r}" for re, im in pairs]), pairs)
@@ -163,3 +164,17 @@ def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows):
     }
     for key, block in cli._json_sample_blocks(sample).items():
         assert _splices_as(block, sample[key]), key
+    results = [
+        {
+            "rank": k + 1,
+            "seed": seed >> k,
+            "iterations": k,
+            "final_cost": x[0],
+            "converged": x[1] < 0.0,
+            "stop_reason": ("converged", "max_iter", "stuck")[k],
+            "cost_evals": 2 * k + 1,
+            "escapes": k,
+        }
+        for k, x in enumerate(rows)
+    ]
+    assert _splices_as(cli._json_results(results), results)
