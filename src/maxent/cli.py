@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -82,14 +83,25 @@ def _dumps(doc: dict, **blocks: str) -> str:
     return text
 
 
-def _json_list(entries) -> str:
-    """:func:`_dumps` of a list whose entries are already rendered at depth 2, at depth 1."""
-    body = ",\n".join(entries)
+def _template(entry) -> str:
+    """The ``%`` template of one list entry in the :func:`_dumps` layout at depth 2.
+
+    ``entry`` is the entry with each leaf replaced by its format: ``"%r"`` for a
+    finite float (its repr is its JSON token), ``"%d"`` for an int, ``"%s"`` for a
+    bare token such as ``true``, and ``'"%s"'`` for ASCII text that needs no
+    escaping. The template takes the leaves in the order ``json.dumps`` writes
+    them: keys sorted, lists in order.
+    """
+    text = "    " + json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+    for fmt in ("%r", "%d", "%s", '"%s"'):  # '"%s"' last: its result is the dump of "%s"
+        text = text.replace(json.dumps(fmt), fmt)
+    return text
+
+
+def _json_block(template: str, rows) -> str:
+    """:func:`_dumps` of a list at depth 1, one entry per row tuple filled into ``template``."""
+    body = ",\n".join([template % row for row in rows])
     return f"[\n{body}\n  ]" if body else "[]"
-
-
-# The two-int "sites" member of a pair entry in the _dumps layout at depth 3.
-_PAIR_SITES_JSON = '      "sites": [\n        %d,\n        %d\n      ]'
 
 
 # ---------------------------------------------------------------- analyze
@@ -143,50 +155,29 @@ def _analysis_document(state: State, label, tol: float, constraint_tol: float) -
     return doc
 
 
-# One correlation_matrices entry in the _dumps layout at depth 2: its sites, then T by rows.
-_PAIR_JSON = (
-    "    {\n"
-    + _PAIR_SITES_JSON
-    + ',\n      "t": [\n'
-    + ",\n".join(["        [\n          %r,\n          %r,\n          %r\n        ]"] * 3)
-    + "\n      ]\n    }"
-)
+_PAIR_JSON = _template({"sites": ["%d", "%d"], "t": [["%r"] * 3] * 3})
+_SITE_JSON = _template({
+    "commutator_defect": "%r", "eigenvalues": ["%r", "%r"], "entropy_bits": "%r",
+    "entropy_nats": "%r", "expectations": dict.fromkeys("xyz", "%r"), "site": "%d",
+    "variances": dict.fromkeys("xyz", "%r"),
+})
+_AXES = operator.itemgetter("x", "y", "z")
 
 
-def _json_correlations(pairs: list[dict]) -> str:
-    """:func:`_dumps` of the ``correlation_matrices`` entries, at depth 1 of its layout.
-
-    Every T of a valid ``State`` is finite, so each float's repr is its JSON token.
-    """
-    return _json_list(_PAIR_JSON % (*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in pairs)
-
-
-# One sites entry in the _dumps layout at depth 2, keys sorted.
-_SITE_JSON = (
-    '    {\n      "commutator_defect": %r,\n'
-    '      "eigenvalues": [\n        %r,\n        %r\n      ],\n'
-    '      "entropy_bits": %r,\n      "entropy_nats": %r,\n'
-    '      "expectations": {\n        "x": %r,\n        "y": %r,\n        "z": %r\n      },\n'
-    '      "site": %d,\n'
-    '      "variances": {\n        "x": %r,\n        "y": %r,\n        "z": %r\n      }\n    }'
-)
-
-
-def _json_sites(sites: list[dict]) -> str:
-    """:func:`_dumps` of the ``sites`` entries, at depth 1 of its layout.
+def _json_analysis_blocks(doc: dict) -> dict[str, str]:
+    """:func:`_dumps` of the two bulk keys of an ``analyze`` document, at depth 1 of its layout.
 
     Every float there is a finite Python float (finite amplitudes; ``site_marginals``
     clamps the spectrum and takes 0 ln 0 = 0), so each repr is its JSON token.
     """
-    entries = []
-    for s in sites:
-        e, v = s["expectations"], s["variances"]
-        entries.append(
-            _SITE_JSON
-            % (s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
-               e["x"], e["y"], e["z"], s["site"], v["x"], v["y"], v["z"])
-        )
-    return _json_list(entries)
+    pairs = [(*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in doc["correlation_matrices"]]
+    sites = [
+        (s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
+         *_AXES(s["expectations"]), s["site"], *_AXES(s["variances"]))
+        for s in doc["sites"]
+    ]
+    return {"correlation_matrices": _json_block(_PAIR_JSON, pairs),
+            "sites": _json_block(_SITE_JSON, sites)}
 
 
 def _render_analysis(doc: dict) -> str:
@@ -241,11 +232,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
     doc = _analysis_document(state, label, args.tol, args.constraint_tol)
-    if args.json:
-        correlations = _json_correlations(doc["correlation_matrices"])
-        print(_dumps(doc, correlation_matrices=correlations, sites=_json_sites(doc["sites"])))
-    else:
-        print(_render_analysis(doc))
+    print(_dumps(doc, **_json_analysis_blocks(doc)) if args.json else _render_analysis(doc))
     return 0
 
 
@@ -299,35 +286,13 @@ def cmd_generate(args) -> int:
 # ----------------------------------------------------------------- search
 
 
-def _json_pairs(rows: list[str]) -> str:
-    """:func:`_dumps` of the [re, im] pairs in state-file rows, at depth 1 of its layout.
-
-    ``format_state`` writes each float as its repr, which is also its JSON token.
-    """
-    pairs = ",\n".join(f"    [\n      {re},\n      {im}\n    ]" for re, im in map(str.split, rows))
-    return f"[\n{pairs}\n  ]"
-
-
-# One results entry in the _dumps layout at depth 2, keys sorted.
-_RESULT_JSON = (
-    '    {\n      "converged": %s,\n      "cost_evals": %d,\n      "escapes": %d,\n'
-    '      "final_cost": %r,\n      "iterations": %d,\n      "rank": %d,\n      "seed": %d,\n'
-    '      "stop_reason": "%s"\n    }'
-)
-
-
-def _json_results(results: list[dict]) -> str:
-    """:func:`_dumps` of the ``results`` entries, at depth 1 of its layout.
-
-    Every cost is a finite Python float, so its repr is its JSON token, and every
-    stop reason is one of three plain ASCII words.
-    """
-    return _json_list(
-        _RESULT_JSON
-        % ("true" if r["converged"] else "false", r["cost_evals"], r["escapes"], r["final_cost"],
-           r["iterations"], r["rank"], r["seed"], r["stop_reason"])
-        for r in results
-    )
+# An amplitude's [re, im] takes the two reprs format_state writes, each its JSON token.
+_AMPLITUDE_JSON = _template(["%s", "%s"])
+# Every cost is a finite Python float; every stop reason is one of three ASCII words.
+_RESULT_JSON = _template({
+    "converged": "%s", "cost_evals": "%d", "escapes": "%d", "final_cost": "%r",
+    "iterations": "%d", "rank": "%d", "seed": "%d", "stop_reason": '"%s"',
+})
 
 
 def _render_search(doc: dict) -> str:
@@ -375,8 +340,14 @@ def cmd_search(args) -> int:
         ],
     }
     if args.json:
-        amplitudes = _json_pairs(text.splitlines()[-best.state.dim:])
-        print(_dumps(doc, best_amplitudes=amplitudes, results=_json_results(doc["results"])))
+        reprs = iter(text.split()[-2 * best.state.dim:])  # the amplitude rows: re im, re im, ...
+        results = [
+            ("true" if r["converged"] else "false", r["cost_evals"], r["escapes"], r["final_cost"],
+             r["iterations"], r["rank"], r["seed"], r["stop_reason"])
+            for r in doc["results"]
+        ]
+        amplitudes = _json_block(_AMPLITUDE_JSON, zip(reprs, reprs))
+        print(_dumps(doc, best_amplitudes=amplitudes, results=_json_block(_RESULT_JSON, results)))
     else:
         entropies = " ".join(
             _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
@@ -552,14 +523,11 @@ def _sample_document(state: State, bases: str, shots: int, seed: int) -> dict:
     }
 
 
-# The entries of sample's three lists in the _dumps layout at depth 2, keys sorted.
-_EXPECTATION_JSON = '    {\n      "site": %d,\n      "std_err": %r,\n      "value": %r\n    }'
-_CORRELATION_JSON = (
-    '    {\n      "covariance": %r,\n      "product_mean": %r,\n'
-    + _PAIR_SITES_JSON
-    + ',\n      "std_err": %r\n    }'
+_EXPECTATION_JSON = _template({"site": "%d", "std_err": "%r", "value": "%r"})
+_CORRELATION_JSON = _template(
+    {"covariance": "%r", "product_mean": "%r", "sites": ["%d", "%d"], "std_err": "%r"}
 )
-_INFORMATION_JSON = '    {\n      "bits": %r,\n      "nats": %r,\n' + _PAIR_SITES_JSON + "\n    }"
+_INFORMATION_JSON = _template({"bits": "%r", "nats": "%r", "sites": ["%d", "%d"]})
 
 
 def _json_sample_blocks(doc: dict) -> dict[str, str]:
@@ -570,19 +538,16 @@ def _json_sample_blocks(doc: dict) -> dict[str, str]:
     label is +/- text, which needs no escaping. ``counts`` is never empty: shots >= 1.
     """
     counts = ",\n".join(f'    "{label}": {count}' for label, count in doc["counts"].items())
+    expectations = [(e["site"], e["std_err"], e["value"]) for e in doc["expectations"]]
+    correlations = [
+        (c["covariance"], c["product_mean"], *c["sites"], c["std_err"]) for c in doc["correlations"]
+    ]
+    infos = [(m["bits"], m["nats"], *m["sites"]) for m in doc["mutual_information"]]
     return {
         "counts": f"{{\n{counts}\n  }}",
-        "expectations": _json_list(
-            _EXPECTATION_JSON % (e["site"], e["std_err"], e["value"]) for e in doc["expectations"]
-        ),
-        "correlations": _json_list(
-            _CORRELATION_JSON % (c["covariance"], c["product_mean"], *c["sites"], c["std_err"])
-            for c in doc["correlations"]
-        ),
-        "mutual_information": _json_list(
-            _INFORMATION_JSON % (m["bits"], m["nats"], *m["sites"])
-            for m in doc["mutual_information"]
-        ),
+        "expectations": _json_block(_EXPECTATION_JSON, expectations),
+        "correlations": _json_block(_CORRELATION_JSON, correlations),
+        "mutual_information": _json_block(_INFORMATION_JSON, infos),
     }
 
 

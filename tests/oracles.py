@@ -9,6 +9,7 @@ optimizer's arithmetic and changes only its schedule.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -187,6 +188,16 @@ def mutual_information(counts: dict, shots: int, site_a: int, site_b: int) -> fl
         if p > 0.0:
             mi += p * math.log(p / (p_a[xa] * p_b[xb]))
     return mi
+
+
+def json_leaves(value) -> tuple:
+    """The leaves of a JSON value in the order ``json.dumps(sort_keys=True)`` writes
+    them, each bool as its JSON token: the row a CLI splice template takes."""
+    if isinstance(value, dict):
+        return tuple(leaf for key in sorted(value) for leaf in json_leaves(value[key]))
+    if isinstance(value, list):
+        return tuple(leaf for item in value for leaf in json_leaves(item))
+    return (json.dumps(value) if isinstance(value, bool) else value,)
 
 
 # ------------------------------------------------- serial search reference

@@ -563,61 +563,27 @@ def test_search_json_of_unconverged_runs_matches_the_stdlib_rendering(capsys, n)
         assert json.loads(out)["results"][0]["stop_reason"] == "stuck"
 
 
-def test_json_results_matches_json_dumps_on_edge_values():
-    results = [
-        {
-            "rank": k + 1,
-            "seed": seed,
-            "iterations": k,
-            "final_cost": cost,
-            "converged": converged,
-            "stop_reason": reason,
-            "cost_evals": 3 * k + 1,
-            "escapes": k % 2,
-        }
-        for k, (cost, seed, reason, converged) in enumerate([
-            (0.0, 0, "converged", True),
-            (5e-324, 2**64 - 1, "converged", True),
-            (1e16, 2**64 - 1, "max_iter", False),
-            (0.1, 0, "stuck", False),
-        ])
-    ]
-    assert "5e-324" in json.dumps(results) and "1e+16" in json.dumps(results)
-    for entries in (results[:1], results):
-        rendered = '{\n  "a": ' + cli._json_results(entries) + "\n}"
-        assert rendered == json.dumps({"a": entries}, indent=2, sort_keys=True)
-
-
 def test_search_hands_the_results_template_python_scalars(capsys, monkeypatch):
     # np.float64 reprs as "np.float64(...)" under numpy 2, so the template needs Python scalars
     handed = []
-    render = cli._json_results
+    render = cli._json_block
 
-    def spy(results):
-        handed.extend(results)
-        return render(results)
+    def spy(template, rows):
+        rows = list(rows)
+        if template == cli._RESULT_JSON:
+            handed.extend(rows)
+        return render(template, rows)
 
-    monkeypatch.setattr(cli, "_json_results", spy)
+    monkeypatch.setattr(cli, "_json_block", spy)
     for argv in (("--n", "3"), ("--n", "8", "--starts", "2"), ("--n", "4", "--max-iter", "1"),
                  ("--n", "2", "--starts", "1", "--tol", "1e-60")):
         run(capsys, "search", *argv, "--seed", "5", "--json")
-    assert {r["stop_reason"] for r in handed} == {"converged", "max_iter", "stuck"}
-    types = {"final_cost": float, "converged": bool, "stop_reason": str}
-    for r in handed:
-        assert set(r) == {"rank", "seed", "iterations", "final_cost", "converged",
-                          "stop_reason", "cost_evals", "escapes"}
-        for key, value in r.items():
-            assert type(value) is types.get(key, int), key
-
-
-def test_json_pairs_matches_json_dumps_on_edge_floats():
-    flat = [0.1, 0.0, 5e-324, 1e-09, -0.6, -0.0, -0.0, 0.7937253933193772]
-    state = State(2, np.array(flat).view(complex))
-    assert np.linalg.norm(state.amplitudes) == 1.0
-    assert state.amplitudes.tobytes() == np.array(flat).tobytes()  # kept as given, -0.0 too
-    rows = format_state(state).splitlines()[-state.dim:]
-    pairs = [flat[k:k + 2] for k in range(0, len(flat), 2)]
-    assert '{\n  "a": ' + cli._json_pairs(rows) + "\n}" == json.dumps({"a": pairs}, indent=2)
+    assert {row[-1] for row in handed} == {"converged", "max_iter", "stuck"}
+    # converged, cost_evals, escapes, final_cost, iterations, rank, seed, stop_reason
+    types = (str, int, int, float, int, int, int, str)
+    for row in handed:
+        assert tuple(map(type, row)) == types
+        assert row[0] in ("true", "false")
 
 
 def _analysis_input(kind, n, rng):
@@ -665,45 +631,6 @@ def test_analyze_json_matches_the_stdlib_rendering(capsys, tmp_path, n, kind):
         assert out == _stdlib_analysis_document(*read_state_file(path))
     if kind == "criterion":
         assert json.loads(out)["criterion"]["satisfied"]
-
-
-def test_json_correlations_matches_json_dumps_on_edge_floats():
-    t = [[5e-324, -0.0, 1e-09], [1e16, 0.0, -1.0], [-5e-324, 0.1, -1e-09]]
-    pairs = [{"sites": [1, 2], "t": t}, {"sites": [7, 8], "t": t[::-1]}]
-    assert "-0.0" in json.dumps(t) and "1e+16" in json.dumps(t)
-    for entries in (pairs, pairs[:1], []):
-        rendered = '{\n  "a": ' + cli._json_correlations(entries) + "\n}"
-        assert rendered == json.dumps({"a": entries}, indent=2)
-
-
-def test_json_sites_matches_json_dumps_on_edge_floats():
-    floats = [-0.0, 5e-324, -5e-324, 1e16, 1e-09, -1e-09, 0.1]
-    sites = []
-    for k in range(8):
-        x = [floats[(k + i) % len(floats)] for i in range(11)]
-        sites.append({  # axes in reverse order: the template reads them by key
-            "site": k + 1,
-            "commutator_defect": x[0],
-            "eigenvalues": x[1:3],
-            "entropy_bits": x[3],
-            "entropy_nats": x[4],
-            "expectations": dict(zip("zyx", x[5:8])),
-            "variances": dict(zip("zyx", x[8:11])),
-        })
-    assert "-0.0" in json.dumps(floats) and "1e+16" in json.dumps(floats)
-    for entries in (sites[:1], sites):
-        rendered = '{\n  "a": ' + cli._json_sites(entries) + "\n}"
-        assert rendered == json.dumps({"a": entries}, indent=2, sort_keys=True)
-    # np.float64 reprs as "np.float64(...)" under numpy 2, so the template needs Python floats
-    for kind in ("haar", "product"):
-        state = _analysis_input(kind, 3, np.random.default_rng(7))
-        for s in cli._analysis_document(state, None, CRITERION_TOL, CONSTRAINT_TOL)["sites"]:
-            values = [
-                s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
-                *s["expectations"].values(), *s["variances"].values(),
-            ]
-            assert len(values) == 11 and all(type(v) is float for v in values)
-            assert type(s["site"]) is int
 
 
 def _stdlib_sample_document(state, bases, shots, seed):
@@ -764,31 +691,104 @@ def test_sample_json_matches_the_stdlib_rendering(capsys, tmp_path, n):
                 assert len(json.loads(out)["counts"]) == support
 
 
-def test_sample_json_blocks_match_json_dumps_on_edge_floats():
-    floats = [-0.0, 5e-324, 1e16, 1e-09, -1e-09, 0.1]
-    rolled = floats[1:] + floats[:1]
-    doc = {
-        "counts": {"+-": 3, "-+": 2**62},
-        "expectations": [
-            {"site": k + 1, "value": v, "std_err": w}
-            for k, (v, w) in enumerate(zip(floats, rolled))
-        ],
-        "correlations": [
-            {"sites": [1, k + 2], "product_mean": v, "covariance": w, "std_err": v}
-            for k, (v, w) in enumerate(zip(floats, rolled))
-        ],
-        "mutual_information": [
-            {"sites": [k + 1, 8], "nats": v, "bits": w}
-            for k, (v, w) in enumerate(zip(rolled, floats))
-        ],
-    }
-    assert "-0.0" in json.dumps(floats) and "1e+16" in json.dumps(floats)
-    one_qubit = {**doc, "correlations": [], "mutual_information": []}  # n = 1 has no pairs
-    for d in (doc, one_qubit):
-        for key, block in cli._json_sample_blocks(d).items():
-            expected = json.dumps({"a": d[key]}, indent=2, sort_keys=True)
-            assert '{\n  "a": ' + block + "\n}" == expected, key
-    # np.float64 reprs as "np.float64(...)" under numpy 2, so the templates need Python floats
+_EDGE = [-0.0, 5e-324, -5e-324, 1e16, 1e-09, -1e-09, 0.1]
+_ROLLED = _EDGE[1:] + _EDGE[:1]
+_EDGE_T = [[5e-324, -0.0, 1e-09], [1e16, 0.0, -1.0], [-5e-324, 0.1, -1e-09]]
+_SAMPLE_KEYS = ("expectations", "correlations", "mutual_information")
+# Every splice template of the CLI by the key it fills, and one built with its keys
+# out of sorted order; then each one's entries, with edge values.
+_TEMPLATES = {
+    "best_amplitudes": cli._AMPLITUDE_JSON,
+    "results": cli._RESULT_JSON,
+    "correlation_matrices": cli._PAIR_JSON,
+    "sites": cli._SITE_JSON,
+    "expectations": cli._EXPECTATION_JSON,
+    "correlations": cli._CORRELATION_JSON,
+    "mutual_information": cli._INFORMATION_JSON,
+    "unsorted": cli._template({"b": "%d", "a": "%r", "c": {"z": '"%s"', "y": "%s"}}),
+}
+_EDGE_ENTRIES = {
+    "best_amplitudes": [[0.1, 0.0], [5e-324, 1e-09], [-0.6, -0.0], [-0.0, 0.7937253933193772]],
+    "results": [
+        {"rank": k + 1, "seed": seed, "iterations": k, "final_cost": cost, "converged": converged,
+         "stop_reason": reason, "cost_evals": 3 * k + 1, "escapes": k % 2}
+        for k, (cost, seed, reason, converged) in enumerate([
+            (0.0, 0, "converged", True),
+            (5e-324, 2**64 - 1, "converged", True),
+            (1e16, 2**64 - 1, "max_iter", False),
+            (0.1, 0, "stuck", False),
+        ])
+    ],
+    "correlation_matrices": [{"sites": [1, 2], "t": _EDGE_T}, {"sites": [7, 8], "t": _EDGE_T[::-1]}],
+    "sites": [
+        {  # axes in reverse order: the CLI reads them by key
+            "site": k + 1,
+            "commutator_defect": x[0],
+            "eigenvalues": x[1:3],
+            "entropy_bits": x[3],
+            "entropy_nats": x[4],
+            "expectations": dict(zip("zyx", x[5:8])),
+            "variances": dict(zip("zyx", x[8:11])),
+        }
+        for k, x in enumerate([(_EDGE * 3)[k:k + 11] for k in range(8)])
+    ],
+    "expectations": [
+        {"site": k + 1, "value": v, "std_err": w} for k, (v, w) in enumerate(zip(_EDGE, _ROLLED))
+    ],
+    "correlations": [
+        {"sites": [1, k + 2], "product_mean": v, "covariance": w, "std_err": v}
+        for k, (v, w) in enumerate(zip(_EDGE, _ROLLED))
+    ],
+    "mutual_information": [
+        {"sites": [k + 1, 8], "nats": v, "bits": w} for k, (v, w) in enumerate(zip(_ROLLED, _EDGE))
+    ],
+    "unsorted": [
+        {"b": 2**62 + k, "a": v, "c": {"z": "max_iter", "y": k % 2 == 0}} for k, v in enumerate(_EDGE)
+    ],
+}
+
+
+def _spliced(block: str) -> str:
+    return '{\n  "a": ' + block + "\n}"
+
+
+@pytest.mark.parametrize("key", list(_TEMPLATES))
+def test_every_template_matches_json_dumps_on_edge_values(key):
+    assert {t for name, t in vars(cli).items() if name.endswith("_JSON")} < set(_TEMPLATES.values())
+    entries = _EDGE_ENTRIES[key]
+    for some in (entries, entries[:1], []):  # n = 1 has no pairs
+        expected = json.dumps({"a": some}, indent=2, sort_keys=True)
+        block = cli._json_block(_TEMPLATES[key], map(oracles.json_leaves, some))
+        assert _spliced(block) == expected
+        # where the CLI builds the rows from a document, through its own code too
+        if key in ("correlation_matrices", "sites"):
+            doc = {"correlation_matrices": [], "sites": [], key: some}
+            assert _spliced(cli._json_analysis_blocks(doc)[key]) == expected
+        elif key in _SAMPLE_KEYS:
+            doc = {"counts": {"+-": 3, "-+": 2**62}, **dict.fromkeys(_SAMPLE_KEYS, []), key: some}
+            blocks = cli._json_sample_blocks(doc)
+            assert _spliced(blocks[key]) == expected
+            assert _spliced(blocks["counts"]) == json.dumps({"a": doc["counts"]}, indent=2)
+    if key == "best_amplitudes":  # search splices the reprs format_state writes
+        state = State(2, np.array(entries).view(complex).ravel())
+        assert np.linalg.norm(state.amplitudes) == 1.0
+        assert state.amplitudes.tobytes() == np.array(entries).tobytes()  # kept as given, -0.0 too
+        reprs = iter(format_state(state).split()[-8:])
+        expected = json.dumps({"a": entries}, indent=2)
+        assert _spliced(cli._json_block(cli._AMPLITUDE_JSON, zip(reprs, reprs))) == expected
+
+
+def test_analysis_and_sample_documents_hold_python_scalars():
+    # np.float64 reprs as "np.float64(...)" under numpy 2, so the templates need Python scalars
+    for kind in ("haar", "product"):
+        state = _analysis_input(kind, 3, np.random.default_rng(7))
+        for s in cli._analysis_document(state, None, CRITERION_TOL, CONSTRAINT_TOL)["sites"]:
+            values = [
+                s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
+                *s["expectations"].values(), *s["variances"].values(),
+            ]
+            assert len(values) == 11 and all(type(v) is float for v in values)
+            assert type(s["site"]) is int
     doc = cli._sample_document(haar_random_state(3, 4), "xyz", 1000, 5)
     entries = doc["expectations"] + doc["correlations"] + doc["mutual_information"]
     values = [v for e in entries for k, v in e.items() if k not in ("site", "sites")]

@@ -14,6 +14,8 @@ from maxent.search import haar_random_su2
 from maxent.statefile import StateFileError, format_state, parse_state
 from maxent.states import from_amplitudes
 
+import oracles
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 
 _component = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -129,13 +131,13 @@ def _splices_as(block: str, value) -> bool:
     st.integers(0, 2**64 - 1),
 )
 def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows, seed):
-    """Each splice renderer assumes a finite float's repr is its JSON token."""
+    """Each splice template assumes a finite float's repr is its JSON token."""
     pairs = [x[k:k + 2] for x in rows for k in range(0, 10, 2)]
-    assert _splices_as(cli._json_pairs([f"{re!r} {im!r}" for re, im in pairs]), pairs)
+    reprs = [(repr(re), repr(im)) for re, im in pairs]  # as format_state writes them
+    assert _splices_as(cli._json_block(cli._AMPLITUDE_JSON, reprs), pairs)
     pair_entries = [
         {"sites": [k + 1, 8], "t": [x[0:3], x[3:6], x[6:9]]} for k, x in enumerate(rows)
     ]
-    assert _splices_as(cli._json_correlations(pair_entries), pair_entries)
     sites = [
         {
             "site": k + 1,
@@ -148,7 +150,9 @@ def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows, seed):
         }
         for k, x in enumerate(rows)
     ]
-    assert _splices_as(cli._json_sites(sites), sites)
+    analysis = cli._json_analysis_blocks({"correlation_matrices": pair_entries, "sites": sites})
+    assert _splices_as(analysis["correlation_matrices"], pair_entries)
+    assert _splices_as(analysis["sites"], sites)
     sample = {
         "counts": {"+-": len(rows)},
         "expectations": [
@@ -177,4 +181,4 @@ def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows, seed):
         }
         for k, x in enumerate(rows)
     ]
-    assert _splices_as(cli._json_results(results), results)
+    assert _splices_as(cli._json_block(cli._RESULT_JSON, map(oracles.json_leaves, results)), results)
