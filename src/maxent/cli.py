@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
@@ -107,77 +106,12 @@ def _json_block(template: str, rows) -> str:
 # ---------------------------------------------------------------- analyze
 
 
-def _analysis_document(state: State, label, tol: float, constraint_tol: float) -> dict:
-    crit = criterion_check(state, tol)
-    eigenvalues, entropies, defects = (q.tolist() for q in site_marginals(crit.expectations))
-    sites = [
-        {
-            "site": k + 1,
-            "expectations": dict(zip("xyz", b)),
-            "variances": {c: 1.0 - e * e for c, e in zip("xyz", b)},
-            "entropy_nats": entropies[k],
-            "entropy_bits": entropies[k] / LN2,
-            "eigenvalues": eigenvalues[k],
-            "commutator_defect": defects[k],
-        }
-        for k, b in enumerate(crit.expectations)
-    ]
-    t = correlation_matrices(state)
-    pairs = [
-        {"sites": [i + 1, j + 1], "t": t[i, j].tolist()}
-        for i, j in itertools.combinations(range(state.n_qubits), 2)
-    ]
-    doc = {
-        "n_qubits": state.n_qubits,
-        "label": label,
-        "criterion": {
-            "satisfied": crit.satisfied,
-            "max_abs_expectation": crit.max_abs_expectation,
-            "tolerance": crit.tolerance,
-        },
-        "sites": sites,
-        "correlation_matrices": pairs,
-        "constraint": None,
-        "schmidt_coefficients": None,
-        "trace_invariant": None,
-    }
-    if state.n_qubits == 2:
-        con = constraint_check(as_coefficient_matrix(state), constraint_tol)
-        doc["constraint"] = {
-            "satisfied": con.satisfied,
-            "degenerate": con.degenerate,
-            "modulus_residuals": list(con.modulus_residuals),
-            "phase_residual": con.phase_residual,
-            "tolerance": constraint_tol,
-        }
-        doc["schmidt_coefficients"] = list(schmidt_coefficients(state))
-        doc["trace_invariant"] = trace_invariant(state)
-    return doc
-
-
 _PAIR_JSON = _template({"sites": ["%d", "%d"], "t": [["%r"] * 3] * 3})
 _SITE_JSON = _template({
     "commutator_defect": "%r", "eigenvalues": ["%r", "%r"], "entropy_bits": "%r",
     "entropy_nats": "%r", "expectations": dict.fromkeys("xyz", "%r"), "site": "%d",
     "variances": dict.fromkeys("xyz", "%r"),
 })
-_AXES = operator.itemgetter("x", "y", "z")
-
-
-def _json_analysis_blocks(doc: dict) -> dict[str, str]:
-    """:func:`_dumps` of the two bulk keys of an ``analyze`` document, at depth 1 of its layout.
-
-    Every float there is a finite Python float (finite amplitudes; ``site_marginals``
-    clamps the spectrum and takes 0 ln 0 = 0), so each repr is its JSON token.
-    """
-    pairs = [(*p["sites"], *p["t"][0], *p["t"][1], *p["t"][2]) for p in doc["correlation_matrices"]]
-    sites = [
-        (s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
-         *_AXES(s["expectations"]), s["site"], *_AXES(s["variances"]))
-        for s in doc["sites"]
-    ]
-    return {"correlation_matrices": _json_block(_PAIR_JSON, pairs),
-            "sites": _json_block(_SITE_JSON, sites)}
 
 
 def _render_analysis(doc: dict) -> str:
@@ -231,8 +165,44 @@ def cmd_analyze(args) -> int:
     if not args.constraint_tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
-    doc = _analysis_document(state, label, args.tol, args.constraint_tol)
-    print(_dumps(doc, **_json_analysis_blocks(doc)) if args.json else _render_analysis(doc))
+    n = state.n_qubits
+    crit = criterion_check(state, args.tol)
+    # Every float in the two spliced lists is a finite Python float (finite amplitudes;
+    # site_marginals clamps the spectrum and takes 0 ln 0 = 0), so each repr is its JSON token.
+    eigenvalues, entropies, defects = (q.tolist() for q in site_marginals(crit.expectations))
+    sites = [
+        (defects[k], *eigenvalues[k], entropies[k] / LN2, entropies[k], *b, k + 1,
+         *(1.0 - e * e for e in b))
+        for k, b in enumerate(crit.expectations)
+    ]
+    t = correlation_matrices(state).reshape(n, n, 9).tolist()
+    pairs = [(i + 1, j + 1, *t[i][j]) for i, j in itertools.combinations(range(n), 2)]
+    doc = {
+        "n_qubits": n,
+        "label": label,
+        "criterion": {
+            "satisfied": crit.satisfied,
+            "max_abs_expectation": crit.max_abs_expectation,
+            "tolerance": crit.tolerance,
+        },
+        "constraint": None,
+        "schmidt_coefficients": None,
+        "trace_invariant": None,
+    }
+    if n == 2:
+        con = constraint_check(as_coefficient_matrix(state), args.constraint_tol)
+        doc["constraint"] = {
+            "satisfied": con.satisfied,
+            "degenerate": con.degenerate,
+            "modulus_residuals": list(con.modulus_residuals),
+            "phase_residual": con.phase_residual,
+            "tolerance": args.constraint_tol,
+        }
+        doc["schmidt_coefficients"] = list(schmidt_coefficients(state))
+        doc["trace_invariant"] = trace_invariant(state)
+    text = _dumps(doc, correlation_matrices=_json_block(_PAIR_JSON, pairs),
+                  sites=_json_block(_SITE_JSON, sites))
+    print(text if args.json else _render_analysis(json.loads(text)))
     return 0
 
 
@@ -317,42 +287,27 @@ def cmd_search(args) -> int:
     best = outcomes[0]
     label = f"search n={args.n} seed={args.seed}"
     if args.out:  # before stdout, so that a failed write prints nothing
-        text = write_state_file(args.out, best.state, label)
+        state_text = write_state_file(args.out, best.state, label)
     elif args.json:
-        text = format_state(best.state, label)
-    doc = {
-        "n": args.n,
-        "starts": args.starts,
-        "tol": args.tol,
-        "seed": args.seed,
-        "results": [
-            {
-                "rank": k,
-                "seed": o.seed,
-                "iterations": o.iterations,
-                "final_cost": o.final_cost,
-                "converged": o.converged,
-                "stop_reason": o.stop_reason,
-                "cost_evals": o.cost_evals,
-                "escapes": o.escapes,
-            }
-            for k, o in enumerate(outcomes, start=1)
-        ],
-    }
+        state_text = format_state(best.state, label)
+    results = [
+        ("true" if o.converged else "false", o.cost_evals, o.escapes, o.final_cost, o.iterations,
+         rank, o.seed, o.stop_reason)
+        for rank, o in enumerate(outcomes, start=1)
+    ]
+    blocks = {"results": _json_block(_RESULT_JSON, results)}
     if args.json:
-        reprs = iter(text.split()[-2 * best.state.dim:])  # the amplitude rows: re im, re im, ...
-        results = [
-            ("true" if r["converged"] else "false", r["cost_evals"], r["escapes"], r["final_cost"],
-             r["iterations"], r["rank"], r["seed"], r["stop_reason"])
-            for r in doc["results"]
-        ]
-        amplitudes = _json_block(_AMPLITUDE_JSON, zip(reprs, reprs))
-        print(_dumps(doc, best_amplitudes=amplitudes, results=_json_block(_RESULT_JSON, results)))
+        reprs = iter(state_text.split()[-2 * best.state.dim:])  # the amplitude rows: re im, ...
+        blocks["best_amplitudes"] = _json_block(_AMPLITUDE_JSON, zip(reprs, reprs))
+    doc = {"n": args.n, "starts": args.starts, "tol": args.tol, "seed": args.seed}
+    text = _dumps(doc, **blocks)
+    if args.json:
+        print(text)
     else:
         entropies = " ".join(
             _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
         )
-        print(f"{_render_search(doc)}\nbest entropies (nats): {entropies}")
+        print(f"{_render_search(json.loads(text))}\nbest entropies (nats): {entropies}")
     return 0 if best.converged else 1
 
 
@@ -461,7 +416,8 @@ def cmd_verify(args) -> int:
         rows.append({"property": name, "passes": passes, "trials": args.trials})
     all_pass = all(row["passes"] == args.trials for row in rows)
     doc = {"trials": args.trials, "seed": args.seed, "all_pass": all_pass, "properties": rows}
-    print(_dumps(doc) if args.json else _render_verify(doc))
+    text = _dumps(doc)
+    print(text if args.json else _render_verify(json.loads(text)))
     return 0 if all_pass else 1
 
 
@@ -489,40 +445,6 @@ def _render_sample(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _sample_document(state: State, bases: str, shots: int, seed: int) -> dict:
-    record = sample_outcomes(state, axes_from_chars(bases), shots, seed)
-    counts, labels = record.binned.tolist(), _ket_labels(state.n_qubits)
-    means, products = (m.tolist() for m in empirical_moments(record))
-    nats_table = mutual_information_matrix(record).tolist()
-    expectations = [
-        {"site": i + 1, "value": m, "std_err": math.sqrt((1.0 - m * m) / record.shots)}
-        for i, m in enumerate(means)
-    ]
-    correlations, infos = [], []
-    for i, j in itertools.combinations(range(state.n_qubits), 2):
-        prod = products[i][j]
-        correlations.append(
-            {
-                "sites": [i + 1, j + 1],
-                "product_mean": prod,
-                "covariance": prod - means[i] * means[j],
-                "std_err": math.sqrt((1.0 - prod * prod) / record.shots),
-            }
-        )
-        nats = nats_table[i][j]
-        infos.append({"sites": [i + 1, j + 1], "nats": nats, "bits": nats / LN2})
-    return {
-        "bases": bases.lower(),  # axes_from_chars accepted exactly these x, y, z
-        "shots": record.shots,
-        "seed": record.seed,
-        # index order, which is also the sorted key order of _dumps: "+" < "-"
-        "counts": {labels[k]: counts[k] for k in np.flatnonzero(record.binned).tolist()},
-        "expectations": expectations,
-        "correlations": correlations,
-        "mutual_information": infos,
-    }
-
-
 _EXPECTATION_JSON = _template({"site": "%d", "std_err": "%r", "value": "%r"})
 _CORRELATION_JSON = _template(
     {"covariance": "%r", "product_mean": "%r", "sites": ["%d", "%d"], "std_err": "%r"}
@@ -530,31 +452,35 @@ _CORRELATION_JSON = _template(
 _INFORMATION_JSON = _template({"bits": "%r", "nats": "%r", "sites": ["%d", "%d"]})
 
 
-def _json_sample_blocks(doc: dict) -> dict[str, str]:
-    """:func:`_dumps` of the four bulk keys of a ``sample`` document, at depth 1 of its layout.
-
-    Every float there is a finite Python float (ratios of counts, their square
-    roots and the plug-in information), so its repr is its JSON token; each
-    label is +/- text, which needs no escaping. ``counts`` is never empty: shots >= 1.
-    """
-    counts = ",\n".join(f'    "{label}": {count}' for label, count in doc["counts"].items())
-    expectations = [(e["site"], e["std_err"], e["value"]) for e in doc["expectations"]]
-    correlations = [
-        (c["covariance"], c["product_mean"], *c["sites"], c["std_err"]) for c in doc["correlations"]
-    ]
-    infos = [(m["bits"], m["nats"], *m["sites"]) for m in doc["mutual_information"]]
-    return {
-        "counts": f"{{\n{counts}\n  }}",
-        "expectations": _json_block(_EXPECTATION_JSON, expectations),
-        "correlations": _json_block(_CORRELATION_JSON, correlations),
-        "mutual_information": _json_block(_INFORMATION_JSON, infos),
-    }
-
-
 def cmd_sample(args) -> int:
     state, _label = read_state_file(args.path)
-    doc = _sample_document(state, args.bases, args.shots, args.seed)
-    print(_dumps(doc, **_json_sample_blocks(doc)) if args.json else _render_sample(doc))
+    record = sample_outcomes(state, axes_from_chars(args.bases), args.shots, args.seed)
+    shots, counts, labels = record.shots, record.binned.tolist(), _ket_labels(state.n_qubits)
+    means, products = (m.tolist() for m in empirical_moments(record))
+    nats = mutual_information_matrix(record).tolist()
+    # Every float is a finite Python float (ratios of counts, their square roots and
+    # the plug-in information), so its repr is its JSON token; each label is +/- text.
+    # counts is in index order, the sorted key order of _dumps ("+" < "-"), and never
+    # empty: shots >= 1.
+    members = ",\n".join(
+        [f'    "{labels[k]}": {counts[k]}' for k in np.flatnonzero(record.binned).tolist()]
+    )
+    expectations = [(i + 1, math.sqrt((1.0 - m * m) / shots), m) for i, m in enumerate(means)]
+    correlations, infos = [], []
+    for i, j in itertools.combinations(range(state.n_qubits), 2):
+        prod, mi = products[i][j], nats[i][j]
+        correlations.append((prod - means[i] * means[j], prod, i + 1, j + 1,
+                             math.sqrt((1.0 - prod * prod) / shots)))
+        infos.append((mi / LN2, mi, i + 1, j + 1))
+    text = _dumps(
+        # axes_from_chars accepted exactly these x, y, z
+        {"bases": args.bases.lower(), "shots": shots, "seed": record.seed},
+        counts=f"{{\n{members}\n  }}",
+        expectations=_json_block(_EXPECTATION_JSON, expectations),
+        correlations=_json_block(_CORRELATION_JSON, correlations),
+        mutual_information=_json_block(_INFORMATION_JSON, infos),
+    )
+    print(text if args.json else _render_sample(json.loads(text)))
     return 0
 
 

@@ -84,7 +84,9 @@ class State:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def __repr__(self) -> str:  # the full array is noisy for n > 2
+    def __repr__(self) -> str:
+        """Every amplitude's exact repr, so a printed state rebuilds bit for bit
+        (numpy's array repr rounds to 8 digits)."""
         return f"State(n_qubits={self.n_qubits}, amplitudes={self.amplitudes.tolist()!r})"
 
 

@@ -122,15 +122,6 @@ def outcome_tuple(index: int, n: int) -> tuple[int, ...]:
     return tuple(1 if (index >> (n - site)) & 1 == 0 else -1 for site in range(1, n + 1))
 
 
-def sampled_counts(probs: np.ndarray, shots: int, seed: int) -> dict:
-    """The Born sampler's draws for ``seed``, tallied into an outcome dict."""
-    draws = np.random.default_rng(seed).random(shots)
-    idx = np.minimum(np.searchsorted(np.cumsum(probs), draws, side="right"), probs.size - 1)
-    n = probs.size.bit_length() - 1
-    values, tallies = np.unique(idx, return_counts=True)
-    return {outcome_tuple(int(k), n): int(c) for k, c in zip(values, tallies)}
-
-
 def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> dict:
     """Multinomial counts for ``seed`` by the conditional-binomial chain.
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,11 @@ from maxent.entanglement import (
     CRITERION_TOL,
     apply_local_unitaries,
     commutator_defect,
+    constraint_check,
+    criterion_check,
     reduced_entropy,
+    schmidt_coefficients,
+    trace_invariant,
 )
 from maxent.measurement import (
     axes_from_chars,
@@ -42,7 +47,14 @@ from maxent.statefile import (
     read_state_file,
     write_state_file,
 )
-from maxent.states import State, epr_family, example_state, from_amplitudes, ghz
+from maxent.states import (
+    State,
+    as_coefficient_matrix,
+    epr_family,
+    example_state,
+    from_amplitudes,
+    ghz,
+)
 
 import oracles
 
@@ -138,6 +150,7 @@ def test_generate_usage_error_exit_2():
         ("analyze", "{path}", "--constraint-tol", "inf"),
         ("search", "--tol", "nan", "--json"),
         ("search", "--tol", "inf"),
+        ("search", "--tol", "abc"),
         ("verify", "--tol", "nan"),
         ("verify", "--constraint-tol=-inf"),
         ("verify", "--perturb", "nan"),
@@ -603,14 +616,51 @@ def _analysis_input(kind, n, rng):
 
 
 def _stdlib_analysis_document(state, label):
-    """The analyze --json text, its correlation_matrices built from plain lists and
-    the whole document encoded with json.dumps alone."""
-    doc = cli._analysis_document(state, label, CRITERION_TOL, CONSTRAINT_TOL)
+    """The analyze --json text, built from library calls and plain lists and encoded
+    with json.dumps alone."""
+    n = state.n_qubits
+    crit = criterion_check(state, CRITERION_TOL)
+    b = local_expectations(state).tolist()
     t = correlation_matrices(state).tolist()
-    doc["correlation_matrices"] = [
-        {"sites": [i + 1, j + 1], "t": t[i][j]}
-        for i, j in itertools.combinations(range(state.n_qubits), 2)
-    ]
+    marginals = [reduced_entropy(state, k) for k in range(1, n + 1)]
+    doc = {
+        "n_qubits": n,
+        "label": label,
+        "criterion": {
+            "satisfied": crit.satisfied,
+            "max_abs_expectation": crit.max_abs_expectation,
+            "tolerance": CRITERION_TOL,
+        },
+        "sites": [
+            {
+                "site": k + 1,
+                "expectations": dict(zip("xyz", b[k])),
+                "variances": {c: 1.0 - e * e for c, e in zip("xyz", b[k])},
+                "entropy_nats": m.entropy_nats,
+                "entropy_bits": m.entropy_nats / LN2,
+                "eigenvalues": list(m.eigenvalues),
+                "commutator_defect": commutator_defect(state, k + 1),
+            }
+            for k, m in enumerate(marginals)
+        ],
+        "correlation_matrices": [
+            {"sites": [i + 1, j + 1], "t": t[i][j]} for i, j in itertools.combinations(range(n), 2)
+        ],
+        "constraint": None,
+        "schmidt_coefficients": None,
+        "trace_invariant": None,
+    }
+    if n == 2:
+        con = constraint_check(as_coefficient_matrix(state), CONSTRAINT_TOL)
+        doc["constraint"] = {
+            "satisfied": con.satisfied,
+            "degenerate": con.degenerate,
+            "modulus_residuals": list(con.modulus_residuals),
+            "phase_residual": con.phase_residual,
+            "tolerance": CONSTRAINT_TOL,
+        }
+        doc["schmidt_coefficients"] = list(schmidt_coefficients(state))
+        doc["trace_invariant"] = trace_invariant(state)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -694,7 +744,6 @@ def test_sample_json_matches_the_stdlib_rendering(capsys, tmp_path, n):
 _EDGE = [-0.0, 5e-324, -5e-324, 1e16, 1e-09, -1e-09, 0.1]
 _ROLLED = _EDGE[1:] + _EDGE[:1]
 _EDGE_T = [[5e-324, -0.0, 1e-09], [1e16, 0.0, -1.0], [-5e-324, 0.1, -1e-09]]
-_SAMPLE_KEYS = ("expectations", "correlations", "mutual_information")
 # Every splice template of the CLI by the key it fills, and one built with its keys
 # out of sorted order; then each one's entries, with edge values.
 _TEMPLATES = {
@@ -721,14 +770,14 @@ _EDGE_ENTRIES = {
     ],
     "correlation_matrices": [{"sites": [1, 2], "t": _EDGE_T}, {"sites": [7, 8], "t": _EDGE_T[::-1]}],
     "sites": [
-        {  # axes in reverse order: the CLI reads them by key
+        {
             "site": k + 1,
             "commutator_defect": x[0],
             "eigenvalues": x[1:3],
             "entropy_bits": x[3],
             "entropy_nats": x[4],
-            "expectations": dict(zip("zyx", x[5:8])),
-            "variances": dict(zip("zyx", x[8:11])),
+            "expectations": dict(zip("xyz", x[5:8])),
+            "variances": dict(zip("xyz", x[8:11])),
         }
         for k, x in enumerate([(_EDGE * 3)[k:k + 11] for k in range(8)])
     ],
@@ -760,15 +809,6 @@ def test_every_template_matches_json_dumps_on_edge_values(key):
         expected = json.dumps({"a": some}, indent=2, sort_keys=True)
         block = cli._json_block(_TEMPLATES[key], map(oracles.json_leaves, some))
         assert _spliced(block) == expected
-        # where the CLI builds the rows from a document, through its own code too
-        if key in ("correlation_matrices", "sites"):
-            doc = {"correlation_matrices": [], "sites": [], key: some}
-            assert _spliced(cli._json_analysis_blocks(doc)[key]) == expected
-        elif key in _SAMPLE_KEYS:
-            doc = {"counts": {"+-": 3, "-+": 2**62}, **dict.fromkeys(_SAMPLE_KEYS, []), key: some}
-            blocks = cli._json_sample_blocks(doc)
-            assert _spliced(blocks[key]) == expected
-            assert _spliced(blocks["counts"]) == json.dumps({"a": doc["counts"]}, indent=2)
     if key == "best_amplitudes":  # search splices the reprs format_state writes
         state = State(2, np.array(entries).view(complex).ravel())
         assert np.linalg.norm(state.amplitudes) == 1.0
@@ -778,25 +818,43 @@ def test_every_template_matches_json_dumps_on_edge_values(key):
         assert _spliced(cli._json_block(cli._AMPLITUDE_JSON, zip(reprs, reprs))) == expected
 
 
-def test_analysis_and_sample_documents_hold_python_scalars():
+def test_sample_counts_block_matches_json_dumps_at_2_to_the_62_shots(capsys, tmp_path):
+    # a basis state: the z site takes every shot, the x site splits them in two
+    path = tmp_path / "basis.txt"
+    write_state_file(path, from_amplitudes(np.eye(4)[2]))
+    for bases, labels in (("zz", ["-+"]), ("zx", ["-+", "--"])):
+        code, out, _ = run(capsys, "sample", str(path), "--bases", bases, "--shots", str(2**62),
+                           "--json")
+        doc = json.loads(out)
+        assert code == 0 and out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert list(doc["counts"]) == labels and sum(doc["counts"].values()) == 2**62
+
+
+def test_analyze_and_sample_hand_their_templates_python_scalars(capsys, tmp_path, monkeypatch):
     # np.float64 reprs as "np.float64(...)" under numpy 2, so the templates need Python scalars
-    for kind in ("haar", "product"):
-        state = _analysis_input(kind, 3, np.random.default_rng(7))
-        for s in cli._analysis_document(state, None, CRITERION_TOL, CONSTRAINT_TOL)["sites"]:
-            values = [
-                s["commutator_defect"], *s["eigenvalues"], s["entropy_bits"], s["entropy_nats"],
-                *s["expectations"].values(), *s["variances"].values(),
-            ]
-            assert len(values) == 11 and all(type(v) is float for v in values)
-            assert type(s["site"]) is int
-    doc = cli._sample_document(haar_random_state(3, 4), "xyz", 1000, 5)
-    entries = doc["expectations"] + doc["correlations"] + doc["mutual_information"]
-    values = [v for e in entries for k, v in e.items() if k not in ("site", "sites")]
-    assert len(values) == 3 * 2 + 3 * 3 + 3 * 2
-    assert all(type(v) is float for v in values)
-    sites = [v for e in entries for v in ([e["site"]] if "site" in e else e["sites"])]
-    assert all(type(v) is int for v in sites)
-    assert all(type(c) is int for c in doc["counts"].values())
+    handed = {}
+    render = cli._json_block
+
+    def spy(template, rows):
+        rows = list(rows)
+        handed.setdefault(template, []).extend(rows)
+        return render(template, rows)
+
+    monkeypatch.setattr(cli, "_json_block", spy)
+    path = tmp_path / "state.txt"
+    for kind, mode in (("haar", ("--json",)), ("product", ())):
+        write_state_file(path, _analysis_input(kind, 3, np.random.default_rng(7)))
+        run(capsys, "analyze", str(path), *mode)
+        run(capsys, "sample", str(path), "--bases", "xyz", "--shots", "1000", "--seed", "5", *mode)
+    templates = (cli._PAIR_JSON, cli._SITE_JSON, cli._EXPECTATION_JSON, cli._CORRELATION_JSON,
+                 cli._INFORMATION_JSON)
+    assert set(handed) == set(templates)
+    for template in templates:
+        # each "%r" leaf takes a float and each "%d" leaf an int, in template order
+        types = tuple({"%r": float, "%d": int}[f] for f in re.findall(r"%[rd]", template))
+        assert len(handed[template]) == 2 * 3  # three sites or three pairs, two runs
+        for row in handed[template]:
+            assert tuple(map(type, row)) == types
 
 
 def test_analyze_missing_file_exit_2_without_line(capsys, tmp_path):

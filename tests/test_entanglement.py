@@ -321,6 +321,8 @@ def test_apply_local_unitaries_basics():
 
     with pytest.raises(ValueError):
         apply_local_unitaries(plus, [np.eye(2)])
+    with pytest.raises(ValueError, match=r"^factor 2 must be 2x2, got \(4,\)$"):
+        apply_local_unitaries(plus, [np.eye(2), np.ones(4)])
     with pytest.raises(ValueError):
         apply_local_unitaries(plus, [np.eye(2), 2.0 * np.eye(2)])
     with pytest.raises(ValueError, match="factor 2 is not unitary"):

@@ -31,6 +31,8 @@ def test_apply_single_site_rejects_bad_site():
         apply_single_site(psi, 2, 0, np.eye(2))
     with pytest.raises(ValueError):
         apply_single_site(psi, 2, 3, np.eye(2))
+    with pytest.raises(ValueError, match="^single-site operator must be 2x2$"):
+        apply_single_site(psi, 2, 1, np.eye(3))
 
 
 def test_partial_trace_matches_index_loops():

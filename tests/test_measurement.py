@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from maxent.cli import _analysis_document, main
+from maxent.cli import main
 from maxent.entanglement import commutator_defect, reduced_entropy
 from maxent.linalg import _apply_site, apply_single_site, partial_trace_single_site
 from maxent.measurement import (
@@ -29,7 +30,7 @@ from maxent.measurement import (
     sample_outcomes,
 )
 from maxent.search import haar_random_state
-from maxent.statefile import write_state_file
+from maxent.statefile import read_state_file, write_state_file
 from maxent.states import epr_family, example_state, from_amplitudes, ghz
 
 import oracles
@@ -145,13 +146,16 @@ def test_local_expectation_agrees_with_density_route():
                 )
 
 
-def test_local_variance_identity():
+def test_local_variance_identity(capsys, tmp_path):
     # analyze reports each site's Pauli variance as 1 - e^2; check that against
     # the dense <sigma^2> - <sigma>^2 of the same measurement.
     rng = np.random.default_rng(12)
+    path = tmp_path / "state.txt"
     for _ in range(20):
-        st = _random_state(rng, 2)
-        rows = _analysis_document(st, None, 1e-9, 1e-6)["sites"]
+        write_state_file(path, _random_state(rng, 2))
+        st = read_state_file(path)[0]
+        assert main(["analyze", str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["sites"]
         for site in (1, 2):
             variances = rows[site - 1]["variances"]
             for axis, c in zip(AXES, "xyz"):
@@ -212,6 +216,8 @@ def test_correlation_matrix_equality():
     assert not cm != correlation_matrix(ghz("+"), 1, 2)
     assert cm != CorrelationMatrix(t=cm.t, site_pair=(1, 3))
     assert cm != CorrelationMatrix(t=cm.t + np.eye(3) * 1e-15, site_pair=(1, 2))
+    with pytest.raises(ValueError, match=r"^correlation matrix must be 3x3, got \(2, 2\)$"):
+        CorrelationMatrix(t=np.eye(2), site_pair=(1, 2))
     assert cm != "t"
     assert cm.__eq__(cm.t) is NotImplemented
 

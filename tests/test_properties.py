@@ -135,50 +135,47 @@ def test_spliced_blocks_match_json_dumps_for_any_finite_float(rows, seed):
     pairs = [x[k:k + 2] for x in rows for k in range(0, 10, 2)]
     reprs = [(repr(re), repr(im)) for re, im in pairs]  # as format_state writes them
     assert _splices_as(cli._json_block(cli._AMPLITUDE_JSON, reprs), pairs)
-    pair_entries = [
-        {"sites": [k + 1, 8], "t": [x[0:3], x[3:6], x[6:9]]} for k, x in enumerate(rows)
-    ]
-    sites = [
-        {
-            "site": k + 1,
-            "commutator_defect": x[0],
-            "eigenvalues": x[1:3],
-            "entropy_bits": x[3],
-            "entropy_nats": x[4],
-            "expectations": dict(zip("xyz", x[5:8])),
-            "variances": dict(zip("xyz", x[8:11])),
-        }
-        for k, x in enumerate(rows)
-    ]
-    analysis = cli._json_analysis_blocks({"correlation_matrices": pair_entries, "sites": sites})
-    assert _splices_as(analysis["correlation_matrices"], pair_entries)
-    assert _splices_as(analysis["sites"], sites)
-    sample = {
-        "counts": {"+-": len(rows)},
-        "expectations": [
+    entries = {  # every other splice template of the CLI, with entries of these floats
+        cli._PAIR_JSON: [
+            {"sites": [k + 1, 8], "t": [x[0:3], x[3:6], x[6:9]]} for k, x in enumerate(rows)
+        ],
+        cli._SITE_JSON: [
+            {
+                "site": k + 1,
+                "commutator_defect": x[0],
+                "eigenvalues": x[1:3],
+                "entropy_bits": x[3],
+                "entropy_nats": x[4],
+                "expectations": dict(zip("xyz", x[5:8])),
+                "variances": dict(zip("xyz", x[8:11])),
+            }
+            for k, x in enumerate(rows)
+        ],
+        cli._EXPECTATION_JSON: [
             {"site": k + 1, "value": x[0], "std_err": x[1]} for k, x in enumerate(rows)
         ],
-        "correlations": [
+        cli._CORRELATION_JSON: [
             {"sites": [k + 1, 8], "product_mean": x[2], "covariance": x[3], "std_err": x[4]}
             for k, x in enumerate(rows)
         ],
-        "mutual_information": [
+        cli._INFORMATION_JSON: [
             {"sites": [k + 1, 8], "nats": x[5], "bits": x[6]} for k, x in enumerate(rows)
         ],
+        cli._RESULT_JSON: [
+            {
+                "rank": k + 1,
+                "seed": seed >> k,
+                "iterations": k,
+                "final_cost": x[0],
+                "converged": x[1] < 0.0,
+                "stop_reason": ("converged", "max_iter", "stuck")[k],
+                "cost_evals": 2 * k + 1,
+                "escapes": k,
+            }
+            for k, x in enumerate(rows)
+        ],
     }
-    for key, block in cli._json_sample_blocks(sample).items():
-        assert _splices_as(block, sample[key]), key
-    results = [
-        {
-            "rank": k + 1,
-            "seed": seed >> k,
-            "iterations": k,
-            "final_cost": x[0],
-            "converged": x[1] < 0.0,
-            "stop_reason": ("converged", "max_iter", "stuck")[k],
-            "cost_evals": 2 * k + 1,
-            "escapes": k,
-        }
-        for k, x in enumerate(rows)
-    ]
-    assert _splices_as(cli._json_block(cli._RESULT_JSON, map(oracles.json_leaves, results)), results)
+    templates = {t for name, t in vars(cli).items() if name.endswith("_JSON")}
+    assert templates == {cli._AMPLITUDE_JSON, *entries}
+    for template, some in entries.items():
+        assert _splices_as(cli._json_block(template, map(oracles.json_leaves, some)), some)

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -37,6 +38,16 @@ def test_state_is_immutable_copy():
     assert st.amplitudes[0] == 1.0
     with pytest.raises(ValueError):
         st.amplitudes[0] = 2.0
+
+
+def test_state_repr_shows_every_amplitude_exactly():
+    rng = np.random.default_rng(4)
+    st = from_amplitudes(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    amps = st.amplitudes.tolist()
+    assert repr(st) == f"State(n_qubits=3, amplitudes=[{', '.join(map(repr, amps))}])"
+    rebuilt = ast.literal_eval(repr(st).removeprefix("State(n_qubits=3, amplitudes=")[:-1])
+    assert np.array(rebuilt).tobytes() == st.amplitudes.tobytes()
+    assert repr(amps[0]) not in repr(st.amplitudes)  # numpy's array repr rounds
 
 
 def test_state_rejects_norm_beyond_tolerance():
