@@ -27,7 +27,7 @@ from .entanglement import (
     site_marginals,
     trace_invariant,
 )
-from .linalg import MAX_QUBITS
+from .linalg import MAX_QUBITS, _norm
 from .measurement import (
     axes_from_chars,
     correlation_matrices,
@@ -324,7 +324,7 @@ def _criterion_state(n: int, rng) -> State:
 
 def _perturbed(state: State, size: float, rng) -> State:
     noise = rng.standard_normal(state.dim) + 1j * rng.standard_normal(state.dim)
-    return from_amplitudes(state.amplitudes + size * noise / np.linalg.norm(noise))
+    return from_amplitudes(state.amplitudes + size * noise / _norm(noise))
 
 
 # Each property is one trial's predicate (k, rng, args) -> pass; k is the

@@ -11,6 +11,7 @@ arrays, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -39,6 +40,13 @@ def _require_amplitudes(amplitudes, n_qubits: int) -> np.ndarray:
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite entries")
     return amps
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a flat complex vector, by the formula np.linalg.norm runs,
+    without its Python-level wrapper, so the bits are the same."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _check_site(n_qubits: int, site: int) -> int:
@@ -92,7 +100,7 @@ def partial_trace_single_site(amplitudes, n_qubits: int, site: int) -> np.ndarra
     """
     amps = _require_amplitudes(amplitudes, n_qubits)
     site = _check_site(n_qubits, site)
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
     cube = amps.reshape(1 << (site - 1), 2, -1)

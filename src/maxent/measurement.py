@@ -95,8 +95,8 @@ def _images(psi: np.ndarray, n_qubits: int):
     products are exact. e holds the 3n expectations Re<psi|V_r>/<psi|psi>,
     scale invariant (smooth off the sphere, which the gradient check relies
     on). Each slice of a stack's results has the bits of its row alone: the
-    squared norms, a (k, 1) column, take one vdot per row, as a stacked
-    reduction would sum in another order, and the real product
+    squared norms, a (k, 1) column, come from one vecdot, which calls the
+    same BLAS dot as vdot once per row, and the real product
     Re a Re b + Im a Im b of the float64 views runs slice by slice as the
     same matrix-vector call.
     """
@@ -105,8 +105,8 @@ def _images(psi: np.ndarray, n_qubits: int):
         nn = np.vdot(psi, psi).real
         images = psi[perm]
     else:
-        nn = np.array([np.vdot(row, row).real for row in psi])[:, None]
-        images = np.ravel(psi)[_stack_index(n_qubits, psi.shape[0])]
+        nn = np.vecdot(psi, psi).real[:, None]
+        images = psi.ravel()[_stack_index(n_qubits, psi.shape[0])]
     images *= phase
     real = images.view(np.float64) @ psi.view(np.float64)[..., None]
     return nn, images, real[..., 0] / nn

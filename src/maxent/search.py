@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_n
+from .linalg import _check_n, _norm
 from .measurement import _images
 from .states import State, _unit
 
@@ -97,7 +97,7 @@ def _haar_direction(n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dim = 1 << n
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    return z / _norm(z)
 
 
 def haar_random_state(n: int, seed) -> State:
@@ -258,8 +258,8 @@ def _descend(n: int, starts, tol: float, max_iter: int, seeds) -> list[SearchOut
         else:
             tried = True
             cand = x - (y.transpose(0, 2, 1) @ jac)[:, 0].view(np.complex128)
-            for row in cand:
-                row /= np.linalg.norm(row)
+            re, im = cand.real, cand.imag
+            cand /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
             cand_nn, cand_images, cand_e = _images(cand, n)
             costs = (cand_e * cand_e).sum(axis=1).tolist()
             taken = [r.offer(c, cost, False) for r, c, cost in zip(live, cand, costs)]
@@ -308,7 +308,7 @@ def _candidates(run, psi, e, jac, jjt, tried):
                 pass
             else:
                 cand = psi - (y @ jac).view(np.complex128)
-                yield cand / np.linalg.norm(cand), False
+                yield cand / _norm(cand), False
         mu = max(floor, 10.0 * mu)
     if run.rng is None:
         run.rng = np.random.default_rng(run.seed)
@@ -316,15 +316,17 @@ def _candidates(run, psi, e, jac, jjt, tried):
     for _ in range(_ESCAPE_DIRECTIONS):
         d = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
         d -= np.vdot(psi, d) * psi
-        d /= np.linalg.norm(d)
+        d /= _norm(d)
         for eps in _ESCAPE_SIZES:
             cand = psi + eps * d
-            yield cand / np.linalg.norm(cand), True
+            yield cand / _norm(cand), True
 
 
 # Bytes of Pauli images one lockstep batch may hold: 48 n 2^n per start, so
 # every start of a 4-start search up to n = 6 (7 per batch there), 3 starts
-# at n = 7 and one at a time at n = 8.
+# at n = 7 and one at a time at n = 8. Larger batches at n = 8 were slower in
+# same-session pairs of the search benchmark: p90 read +13% at 2 starts per
+# batch (4/4 pairs) and +15% at 4 (3/3 pairs, ~360 minor faults per n = 8 op).
 _IMAGE_BUDGET = 128 << 10
 
 

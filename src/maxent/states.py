@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STATE_NORM_TOL, _require_amplitudes
+from .linalg import STATE_NORM_TOL, _norm, _require_amplitudes
 
 INGEST_NORM_FLOOR = 1e-12
 
@@ -44,7 +44,7 @@ def _unit(amps: np.ndarray) -> np.ndarray:
     than the exact-norm window; either way the result is a new array, never
     the caller's.
     """
-    norm = float(np.linalg.norm(amps))
+    norm = _norm(amps)
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(
             f"state norm {norm!r} deviates from 1 beyond 1e-9; "
@@ -103,11 +103,11 @@ def from_amplitudes(raw) -> State:
     if size < 2 or size != (1 << n):
         raise ValueError(f"amplitude count {size} is not a power of two >= 2")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
     if math.isinf(norm) and np.isfinite(amps).all():
         # Finite entries whose squares overflow: bring the largest part to 1.
         amps = amps / np.max(np.abs(amps.view(np.float64)))
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
     if norm <= INGEST_NORM_FLOOR:
         raise ValueError("amplitude vector has (near) zero norm")
     if math.isfinite(norm) and abs(norm - 1.0) > _EXACT_NORM_WINDOW:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxent.entanglement import site_marginals
-from maxent.linalg import apply_single_site, partial_trace_single_site
+from maxent.linalg import _norm, apply_single_site, partial_trace_single_site
 from maxent.search import haar_random_state, multi_start
 from maxent.states import State, from_amplitudes
 
@@ -33,6 +33,21 @@ def test_apply_single_site_rejects_bad_site():
         apply_single_site(psi, 2, 3, np.eye(2))
     with pytest.raises(ValueError, match="^single-site operator must be 2x2$"):
         apply_single_site(psi, 2, 1, np.eye(3))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norm_matches_numpy_norm_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    dim = 1 << n
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    sparse = z.copy()
+    sparse[::3] = 0.0
+    sparse.imag[1::2] = 0.0
+    vectors = [z * scale for scale in (1.0, 1e-7, 3.5e4, 1e-300, 1e150)]
+    vectors += [sparse, sparse * 1e-300, sparse * 1e150, np.zeros(dim, dtype=complex)]
+    for v in vectors:
+        want = np.linalg.norm(v)
+        assert _norm(v).hex() == float(want).hex()
 
 
 def test_partial_trace_matches_index_loops():

@@ -396,12 +396,14 @@ def assert_same_outcomes(got, want):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_multi_start_matches_serial_reference(n):
-    # lockstep batches: all 4 starts up to n = 6, 3 + 1 at n = 7, 1 at a time at n = 8
-    for seed in range(3 if n < 8 else 1):
-        want = oracles.serial_multi_start(n, 4, 1e-12, seed, DEFAULT_MAX_ITER)
-        assert_same_outcomes(multi_start(n, 4, 1e-12, seed), want)
-    starved = multi_start(n, 4, 1e-12, 7, max_iter=2)
-    assert_same_outcomes(starved, oracles.serial_multi_start(n, 4, 1e-12, 7, 2))
+    # lockstep batches: every start up to n = 6, 3 then the rest at n = 7, 1
+    # at a time at n = 8; odd row counts, and stacks that shrink as starts finish
+    for starts in (1, 3, 4, 5):
+        for seed in range(3 if n < 8 else 1):
+            want = oracles.serial_multi_start(n, starts, 1e-12, seed, DEFAULT_MAX_ITER)
+            assert_same_outcomes(multi_start(n, starts, 1e-12, seed), want)
+        starved = multi_start(n, starts, 1e-12, 7, max_iter=2)
+        assert_same_outcomes(starved, oracles.serial_multi_start(n, starts, 1e-12, 7, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3])
