@@ -266,6 +266,10 @@ _RESULT_JSON = _template({
 
 
 def _render_search(doc: dict) -> str:
+    """The results table, then the best state's entropies, computed here because
+    ``best_amplitudes`` holds the exact reprs of its amplitudes, which rebuild it bit for bit."""
+    best = from_amplitudes([complex(re, im) for re, im in doc["best_amplitudes"]])
+    entropies = site_marginals(local_expectations(best))[1].tolist()
     lines = [
         f"search n={doc['n']} starts={doc['starts']} tol={_fmt(doc['tol'])} seed={doc['seed']}",
         "rank  converged  iterations  final_cost            seed",
@@ -275,6 +279,7 @@ def _render_search(doc: dict) -> str:
         f"  {r['final_cost']:<20.9g}  {r['seed']}"
         for r in doc["results"]
     )
+    lines.append("best entropies (nats): " + " ".join(map(_fmt, entropies)))
     return "\n".join(lines)
 
 
@@ -288,26 +293,18 @@ def cmd_search(args) -> int:
     label = f"search n={args.n} seed={args.seed}"
     if args.out:  # before stdout, so that a failed write prints nothing
         state_text = write_state_file(args.out, best.state, label)
-    elif args.json:
+    else:
         state_text = format_state(best.state, label)
     results = [
         ("true" if o.converged else "false", o.cost_evals, o.escapes, o.final_cost, o.iterations,
          rank, o.seed, o.stop_reason)
         for rank, o in enumerate(outcomes, start=1)
     ]
-    blocks = {"results": _json_block(_RESULT_JSON, results)}
-    if args.json:
-        reprs = iter(state_text.split()[-2 * best.state.dim:])  # the amplitude rows: re im, ...
-        blocks["best_amplitudes"] = _json_block(_AMPLITUDE_JSON, zip(reprs, reprs))
+    reprs = iter(state_text.split()[-2 * best.state.dim:])  # the amplitude rows: re im, ...
     doc = {"n": args.n, "starts": args.starts, "tol": args.tol, "seed": args.seed}
-    text = _dumps(doc, **blocks)
-    if args.json:
-        print(text)
-    else:
-        entropies = " ".join(
-            _fmt(s) for s in site_marginals(local_expectations(best.state))[1].tolist()
-        )
-        print(f"{_render_search(json.loads(text))}\nbest entropies (nats): {entropies}")
+    text = _dumps(doc, results=_json_block(_RESULT_JSON, results),
+                  best_amplitudes=_json_block(_AMPLITUDE_JSON, zip(reprs, reprs)))
+    print(text if args.json else _render_search(json.loads(text)))
     return 0 if best.converged else 1
 
 
@@ -409,6 +406,8 @@ def _render_verify(doc: dict) -> str:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not args.constraint_tol > 0.0:  # constraint_check's own test, before any trial
+        raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     rows = []
     for index, (name, prop) in enumerate(_VERIFY_PROPERTIES):
         rng = np.random.default_rng([index, args.seed])

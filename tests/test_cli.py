@@ -22,6 +22,7 @@ from maxent.entanglement import (
     criterion_check,
     reduced_entropy,
     schmidt_coefficients,
+    site_marginals,
     trace_invariant,
 )
 from maxent.measurement import (
@@ -370,6 +371,20 @@ def test_verify_hands_the_recorded_states_to_criterion_check(capsys, monkeypatch
     assert calls == VERIFY_CRITERION_CALLS
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_verify_rejects_a_non_positive_constraint_tol_before_any_trial(tol, capsys, monkeypatch):
+    ran = []
+    spies = tuple((name, lambda k, rng, args: ran.append(k) or True)
+                  for name, _ in cli._VERIFY_PROPERTIES)
+    monkeypatch.setattr(cli, "_VERIFY_PROPERTIES", spies)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "--trials", "3", "--constraint-tol", tol, *extra)
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"error: tolerance must be positive, got {float(tol)}\n"
+    assert run(capsys, "verify", "--trials", "3")[0] == 0
+    assert len(ran) == 3 * len(spies)
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "2", "--json")
     assert code == 0
@@ -597,6 +612,24 @@ def test_search_hands_the_results_template_python_scalars(capsys, monkeypatch):
     for row in handed:
         assert tuple(map(type, row)) == types
         assert row[0] in ("true", "false")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_entropies_line_is_that_of_the_out_state(capsys, tmp_path, n):
+    path = tmp_path / "best.txt"
+    for extra in ((), ("--max-iter", "1")):
+        argv = ["search", "--n", str(n), "--starts", "2", "--seed", str(30 + n), *extra,
+                "--out", str(path)]
+        _, text, _ = run(capsys, *argv)
+        state, _ = read_state_file(path)
+        entropies = site_marginals(local_expectations(state))[1].tolist()
+        assert text.splitlines()[-1] == "best entropies (nats): " + " ".join(
+            map(cli._fmt, entropies)
+        )
+        _, out, _ = run(capsys, *argv, "--json")
+        pairs = np.array(json.loads(out)["best_amplitudes"], dtype=np.float64)
+        rebuilt = State(n_qubits=n, amplitudes=pairs.view(np.complex128).ravel())
+        assert rebuilt.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def _analysis_input(kind, n, rng):
@@ -952,6 +985,7 @@ def state_files(tmp_path):
     write_state_file(paths["constrained"], generate_constrained(random_constraint_params(5)))
     write_state_file(paths["ghz-"], ghz("-"))
     write_state_file(paths["haar8"], haar_random_state(8, 3))
+    paths["out"] = str(tmp_path / "best.txt")
     return paths
 
 
@@ -966,6 +1000,10 @@ def state_files(tmp_path):
         ("verify", ("verify", "--trials", "3", "--seed", "2")),
         ("verify", ("verify", "--trials", "16", "--seed", "5", "--perturb", "1e-9",
                     "--constraint-tol", "1e-10")),
+        ("search", ("search", "--n", "3", "--starts", "4", "--seed", "2")),
+        ("search", ("search", "--n", "8", "--starts", "2", "--seed", "1")),
+        ("search", ("search", "--n", "4", "--starts", "3", "--seed", "5", "--max-iter", "1")),
+        ("search", ("search", "--n", "5", "--starts", "3", "--seed", "9", "--out", "{out}")),
     ],
 )
 def test_text_output_is_the_rendering_of_the_json_document(capsys, state_files, command, argv):
@@ -976,22 +1014,6 @@ def test_text_output_is_the_rendering_of_the_json_document(capsys, state_files, 
     assert text == getattr(cli, f"_render_{command}")(doc) + "\n"
     if "1000000" in argv:
         assert len(doc["counts"]) == 256  # every label, in index order in both modes
-
-
-def test_search_text_table_is_the_rendering_of_the_json_results(capsys):
-    argv = ["search", "--n", "3", "--starts", "4", "--seed", "2"]
-    (code, text), (json_code, json_out) = _text_and_json(capsys, argv)
-    doc = json.loads(json_out)
-    lines = text.splitlines()
-    assert code == json_code == 0
-    assert "\n".join(lines[:-1]) == cli._render_search(doc)
-    assert lines[-1].startswith("best entropies (nats): ")
-    rows = [line.split() for line in lines[2:-1]]
-    assert len(rows) == len(doc["results"]) == 4
-    for (rank, converged, iterations, final_cost, seed), result in zip(rows, doc["results"]):
-        assert int(rank) == result["rank"] and converged == str(result["converged"]).lower()
-        assert int(iterations) == result["iterations"] and int(seed) == result["seed"]
-        assert float(final_cost) == float(f"{result['final_cost']:.9g}")
 
 
 def test_python_dash_m_entry_point_matches_main(capsys, tmp_path):
