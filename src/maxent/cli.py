@@ -9,6 +9,7 @@ sample (seeded measurement shots). Exit codes: 0 success or verdict pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -161,9 +162,6 @@ def _render_analysis(doc: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    # constraint_check's own test, run here so that every n rejects the option
-    if not args.constraint_tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     state, label = read_state_file(args.path)
     n = state.n_qubits
     crit = criterion_check(state, args.tol)
@@ -222,13 +220,9 @@ def cmd_generate(args) -> int:
         label = f"ghz{args.sign}"
     elif family == "constrained":
         if args.random:
-            if args.r is not None:
-                raise ValueError("--random and --r are mutually exclusive")
             params = random_constraint_params(args.seed)
             label = f"constrained seed={args.seed}"
         else:
-            if args.r is None:
-                raise ValueError("constrained requires --r or --random")
             params = ConstraintParams(
                 r=args.r,
                 alpha=args.alpha,
@@ -284,8 +278,6 @@ def _render_search(doc: dict) -> str:
 
 
 def cmd_search(args) -> int:
-    if not 2 <= args.n <= MAX_QUBITS:
-        raise ValueError(f"--n must be in [2, {MAX_QUBITS}], got {args.n}")
     outcomes = multi_start(
         args.n, args.starts, args.tol, args.seed, max_iter=args.max_iter
     )
@@ -404,10 +396,6 @@ def _render_verify(doc: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if not args.constraint_tol > 0.0:  # constraint_check's own test, before any trial
-        raise ValueError(f"tolerance must be positive, got {args.constraint_tol}")
     rows = []
     for index, (name, prop) in enumerate(_VERIFY_PROPERTIES):
         rng = np.random.default_rng([index, args.seed])
@@ -486,26 +474,24 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for every float option: NaN and infinities exit 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _option(parse, ok, expected: str):
+    """An argparse type: ``parse(text)`` if that parses and ``ok`` holds of it, else exit 2.
+
+    A range a library call checks gets no type (--tol's sign, --starts, --max-iter, --shots,
+    --bases, --r, --b1/--b2); --constraint-tol's does, as constraint_check runs at n = 2 only.
+    """
+    def option(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := parse(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return option
 
 
-def _seed(text: str) -> int:
-    """argparse type for every --seed: a negative or non-integer seed exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+_finite_float = _option(float, math.isfinite, "a finite number")
+_seed = _option(int, lambda v: v >= 0, "a non-negative integer")
+_qubits = _option(int, lambda v: 2 <= v <= MAX_QUBITS, f"an integer in [2, {MAX_QUBITS}]")
+_positive = _option(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -524,7 +510,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("path")
     p.add_argument("--tol", type=_finite_float, default=CRITERION_TOL, help="criterion tolerance")
     p.add_argument(
-        "--constraint-tol", type=_finite_float, default=CONSTRAINT_TOL, help="constraint tolerance"
+        "--constraint-tol", type=_positive, default=CONSTRAINT_TOL, help="constraint tolerance"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
@@ -544,12 +530,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     f.add_argument("--sign", choices=["+", "-"], default="+")
 
     f = fam.add_parser("constrained", help="2-qubit state from constraint coordinates")
-    f.add_argument("--r", type=_finite_float, default=None)
+    given = f.add_mutually_exclusive_group(required=True)
+    given.add_argument("--r", type=_finite_float, default=None)
+    given.add_argument("--random", action="store_true", help="draw parameters from --seed")
     f.add_argument("--alpha", type=_finite_float, default=0.0)
     f.add_argument("--beta", type=_finite_float, default=0.0)
     f.add_argument("--delta", type=_finite_float, default=0.0)
     f.add_argument("--branch", choices=["+pi", "-pi"], default="+pi")
-    f.add_argument("--random", action="store_true", help="draw parameters from --seed")
     f.add_argument("--seed", type=_seed, default=0)
 
     f = fam.add_parser("example", help="named states used throughout the tests")
@@ -561,7 +548,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("search", help="minimize the summed squared expectations")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_qubits, default=2)
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--seed", type=_seed, default=0)
@@ -571,10 +558,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_option(int, lambda v: v >= 1, "an integer >= 1"), default=100)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_finite_float, default=CRITERION_TOL)
-    p.add_argument("--constraint-tol", type=_finite_float, default=CONSTRAINT_TOL)
+    p.add_argument("--constraint-tol", type=_positive, default=CONSTRAINT_TOL)
     p.add_argument(
         "--perturb",
         type=_finite_float,

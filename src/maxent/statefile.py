@@ -131,8 +131,11 @@ def parse_state(text: str) -> tuple[State, str | None]:
 def write_state_file(path, state: State, label: str | None = None) -> str:
     """Write a state document and return it; a rejected label leaves ``path`` untouched."""
     text = format_state(state, label)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StateFileError(None, f"cannot write {path}: {exc.strerror or exc}") from None
     return text
 
 

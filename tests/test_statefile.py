@@ -167,3 +167,15 @@ def test_unreadable_file_error_has_no_line(tmp_path):
         read_state_file(tmp_path / "missing.txt")
     assert exc.value.line is None
     assert str(exc.value).startswith("cannot read ")
+
+
+def test_unwritable_file_error_has_no_line(tmp_path):
+    for path, reason in ((tmp_path / "no-such-dir" / "x.txt", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        with pytest.raises(StateFileError) as exc:
+            write_state_file(path, ghz("+"))
+        assert exc.value.line is None
+        assert str(exc.value) == f"cannot write {path}: {reason}"
+        # the label is checked before the file is opened
+        with pytest.raises(ValueError, match="^label must be nonempty"):
+            write_state_file(path, ghz("+"), " bad")
