@@ -193,9 +193,8 @@ _POSITIVE = "a finite number > 0"
 # (argv, what its stderr's last line says after "error: "); {two} and {three} name
 # 2- and 3-qubit state files
 USAGE_ERRORS = [
-    *(((*cmd, "--constraint-tol", tol, *mode),
+    *((("verify", "--constraint-tol", tol, *mode),
        f"argument --constraint-tol: expected {_POSITIVE}, got '{tol}'")
-      for cmd in (("analyze", "{two}"), ("analyze", "{three}"), ("verify",))
       for tol in ("0", "-1") for mode in ((), ("--json",))),
     *((("search", "--n", n), f"argument --n: expected an integer in [2, 8], got '{n}'")
       for n in ("1", "9")),
@@ -228,6 +227,27 @@ def test_usage_errors_exit_2_from_the_parser_before_any_work(
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out, ran) == (2, "", [])
         assert captured.err.endswith(f"\nmaxent {prog}: error: {line}\n")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_analyze_rejects_a_non_positive_constraint_tol_for_every_n(
+    tol, capsys, monkeypatch, tmp_path
+):
+    paths = (str(tmp_path / "two.txt"), str(tmp_path / "three.txt"))
+    write_state_file(paths[0], epr_family("varphi", 0.0))
+    write_state_file(paths[1], ghz("+"))
+    ran = []
+    monkeypatch.setattr(cli, "read_state_file", lambda *a, **k: ran.append(a))
+    for path in paths:
+        for extra in ((), ("--json",)):
+            code, out, err = _exit_and_streams(
+                capsys, ["analyze", path, "--constraint-tol", tol, *extra]
+            )
+            assert (code, out, ran) == (2, "", [])
+            assert err.endswith(
+                f"\nmaxent analyze: error: argument --constraint-tol: "
+                f"expected {_POSITIVE}, got '{tol}'\n"
+            )
 
 
 @pytest.mark.parametrize("argv", [("analyze", "{path}"), ("verify", "--trials", "1")])
