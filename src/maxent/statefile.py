@@ -131,9 +131,12 @@ def parse_state(text: str) -> tuple[State, str | None]:
 def write_state_file(path, state: State, label: str | None = None) -> str:
     """Write a state document and return it; a rejected label leaves ``path`` untouched."""
     text = format_state(state, label)
+    data = text.encode()
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb", buffering=0) as fh:
+            done = 0
+            while done < len(data):
+                done += fh.write(data[done:])
     except OSError as exc:
         raise StateFileError(None, f"cannot write {path}: {exc.strerror or exc}") from None
     return text
@@ -141,8 +144,8 @@ def write_state_file(path, state: State, label: str | None = None) -> str:
 
 def read_state_file(path) -> tuple[State, str | None]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode()
     except OSError as exc:
         raise StateFileError(None, f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

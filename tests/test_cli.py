@@ -563,6 +563,17 @@ def test_generate_rejects_a_label_that_would_not_read_back(capsys, tmp_path):
     assert parse_state(format_state(ghz("+"), "a\x1fb\tc"))[1] == "a\x1fb\tc"
 
 
+def test_generate_unencodable_label_leaves_out_untouched(capsys, tmp_path):
+    # "bad\udcff" is how the shell argument $'bad\xff' reaches argv on POSIX
+    path = tmp_path / "g.txt"
+    assert main(["generate", "ghz", "--out", str(path)]) == 0
+    before = path.read_bytes()
+    code, out, err = run(capsys, "generate", "ghz", "--label", "bad\udcff", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
+    assert path.read_bytes() == before
+
+
 def _unwritable(tmp_path):
     """(path, reason) of an --out in a missing directory and of one that is a directory."""
     return [(str(tmp_path / "no-such-dir" / "x.txt"), "No such file or directory"),

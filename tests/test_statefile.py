@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -144,14 +146,52 @@ def test_bad_label_leaves_target_untouched(tmp_path):
     path = tmp_path / "state.txt"
     write_state_file(path, ghz("+"), "ghz")
     before = path.read_bytes()
-    for label in (" bad", "two\nlines", ""):
+    # "bad\udcff" is how a command line's lone 0xff byte arrives: it cannot be encoded
+    for label in (" bad", "two\nlines", "", "bad\udcff"):
         with pytest.raises(ValueError):
             write_state_file(path, ghz("+"), label)
         assert path.read_bytes() == before
     missing = tmp_path / "missing.txt"
-    with pytest.raises(ValueError):
-        write_state_file(missing, ghz("+"), " bad")
-    assert not missing.exists()
+    for label in (" bad", "bad\udcff"):
+        with pytest.raises(ValueError):
+            write_state_file(missing, ghz("+"), label)
+        assert not missing.exists()
+
+
+def test_written_file_is_the_encoded_document(tmp_path):
+    path = tmp_path / "state.txt"
+    for st, label in ((ghz("+"), "ghz \u00e9\u2013"), (haar_random_state(8, 5), None)):
+        text = write_state_file(path, st, label)
+        assert text == format_state(st, label)
+        assert path.read_bytes() == text.encode()
+
+
+_LF_DOCUMENT = (
+    "format: maxent-state/1\nn_qubits: 1\nlabel: crlf test\n\namplitudes:\n"
+    "0.6 0.0\n0.0 0.8\n"
+)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_read_like_lf(tmp_path, newline):
+    lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+    lf.write_bytes(_LF_DOCUMENT.encode())
+    other.write_bytes(_LF_DOCUMENT.replace("\n", newline).encode())
+    (want, want_label), (got, got_label) = read_state_file(lf), read_state_file(other)
+    assert want_label == got_label == "crlf test"
+    assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
+    # the same diagnostics, on the same lines, the blank line 4 counted
+    for bad, line in ((_LF_DOCUMENT.replace("0.0 0.8", "0.0 0.8 1"), 7),
+                      (_LF_DOCUMENT.replace("n_qubits: 1", "n_qubits: one"), 2),
+                      (_LF_DOCUMENT + "0 0\n", 8)):
+        lf.write_bytes(bad.encode())
+        other.write_bytes(bad.replace("\n", newline).encode())
+        with pytest.raises(StateFileError) as want_err:
+            read_state_file(lf)
+        with pytest.raises(StateFileError) as got_err:
+            read_state_file(other)
+        assert want_err.value.line == got_err.value.line == line
+        assert str(got_err.value) == str(want_err.value)
 
 
 def test_written_document_is_stable():
@@ -170,8 +210,11 @@ def test_unreadable_file_error_has_no_line(tmp_path):
 
 
 def test_unwritable_file_error_has_no_line(tmp_path):
-    for path, reason in ((tmp_path / "no-such-dir" / "x.txt", "No such file or directory"),
-                         (tmp_path, "Is a directory")):
+    cases = [(tmp_path / "no-such-dir" / "x.txt", "No such file or directory"),
+             (tmp_path, "Is a directory")]
+    if os.path.exists("/dev/full"):  # a write that fails after the open succeeded
+        cases.append(("/dev/full", "No space left on device"))
+    for path, reason in cases:
         with pytest.raises(StateFileError) as exc:
             write_state_file(path, ghz("+"))
         assert exc.value.line is None
