@@ -324,9 +324,13 @@ def _candidates(run, psi, e, jac, jjt, tried):
 
 # Bytes of Pauli images one lockstep batch may hold: 48 n 2^n per start, so
 # every start of a 4-start search up to n = 6 (7 per batch there), 3 starts
-# at n = 7 and one at a time at n = 8. Larger batches at n = 8 were slower in
-# same-session pairs of the search benchmark: p90 read +13% at 2 starts per
-# batch (4/4 pairs) and +15% at 4 (3/3 pairs, ~360 minor faults per n = 8 op).
+# at n = 7 and one at a time at n = 8. One n = 8 start's images (96 KiB) stay
+# under glibc's default 128 KiB mmap threshold; 4 starts per batch (384 KiB)
+# go to fresh mmaps, 358 minor page faults per n = 8 op against 0.1 at 128
+# KiB, and each n = 8 search op ran 21% slower (2668 -> 3234 us median, in a
+# plain in-process loop over the search benchmark's pool). The benchmark's
+# best-of-N op times mostly hide the faults: its p90 read 3-9% lower at 4
+# starts per batch in 4 of 4 pairs.
 _IMAGE_BUDGET = 128 << 10
 
 

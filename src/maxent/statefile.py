@@ -76,56 +76,91 @@ def parse_state(text: str) -> tuple[State, str | None]:
     Blank lines are ignored. Raises StateFileError with a 1-based line
     number on any malformed field.
     """
-    lines = [
-        (i, line)
-        for i, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.strip())
-    ]
-    if not lines:
+    lines = text.splitlines()
+    # (line, text) of the first four non-blank lines: the header, and the
+    # first amplitude row when there is no label
+    head = []
+    for i, raw in enumerate(lines, start=1):
+        if line := raw.strip():
+            head.append((i, line))
+            if len(head) == 4:
+                break
+    if not head:
         raise StateFileError(1, "empty document")
     pos = 0
-    tag, pos = _field(lines, pos, "format", required=True)
+    tag, pos = _field(head, pos, "format", required=True)
     if tag != FORMAT_TAG:
-        raise StateFileError(lines[0][0], f"unsupported format {tag!r}, expected {FORMAT_TAG!r}")
-    n_text, pos = _field(lines, pos, "n_qubits", required=True)
-    n_line = lines[pos - 1][0]
+        raise StateFileError(head[0][0], f"unsupported format {tag!r}, expected {FORMAT_TAG!r}")
+    n_text, pos = _field(head, pos, "n_qubits", required=True)
+    n_line = head[pos - 1][0]
     try:
         n = int(n_text)
     except ValueError:
         raise StateFileError(n_line, f"n_qubits must be an integer, got {n_text!r}") from None
     if not 1 <= n <= MAX_QUBITS:
         raise StateFileError(n_line, f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
-    label, pos = _field(lines, pos, "label", required=False)
-    header, pos = _field(lines, pos, "amplitudes", required=True)
-    header_line = lines[pos - 1][0]
+    label, pos = _field(head, pos, "label", required=False)
+    header, pos = _field(head, pos, "amplitudes", required=True)
+    header_line = head[pos - 1][0]
     if header:
         raise StateFileError(header_line, "amplitudes header takes no value")
+    # One pass over the rows: two tokens per non-blank line, one float() per
+    # token, and from_amplitudes' own finiteness check. Anything off is
+    # diagnosed by _row_error, row by row.
+    rows = lines[header_line:]
+    tokens = []
+    for raw in rows:
+        parts = raw.split()
+        if len(parts) == 2:
+            tokens += parts
+        elif parts:
+            raise _row_error(rows, header_line, n)
+    if len(tokens) != 2 << n:
+        raise _row_error(rows, header_line, n)
+    try:
+        flat = np.array(list(map(float, tokens)))
+    except ValueError:
+        raise _row_error(rows, header_line, n) from None
+    try:
+        state = from_amplitudes(flat.view(np.complex128))
+    except ValueError as exc:
+        # from_amplitudes rejects non-finite entries too; those are row errors
+        if not np.isfinite(flat).all():
+            raise _row_error(rows, header_line, n) from None
+        raise StateFileError(header_line, str(exc)) from None
+    return state, label if label else None
+
+
+def _row_error(raw_rows: list[str], header_line: int, n: int) -> StateFileError:
+    """The diagnostic for the first thing wrong with the amplitude rows.
+
+    Row count first, then row by row: token count, float() syntax, finiteness.
+    Called only when the one-pass read in parse_state found something off.
+    """
+    rows = [
+        (i, line)
+        for i, raw in enumerate(raw_rows, start=header_line + 1)
+        if (line := raw.strip())
+    ]
     dim = 1 << n
-    rows = lines[pos:]
     if len(rows) < dim:
-        raise StateFileError(
+        return StateFileError(
             rows[-1][0] if rows else header_line,
             f"expected {dim} amplitude lines, found {len(rows)}",
         )
     if len(rows) > dim:
-        raise StateFileError(rows[dim][0], f"unexpected content after {dim} amplitude lines")
-    amplitudes = []
+        return StateFileError(rows[dim][0], f"unexpected content after {dim} amplitude lines")
     for lineno, text_row in rows:
         parts = text_row.split()
         if len(parts) != 2:
-            raise StateFileError(lineno, f"expected 're im' pair, got {text_row!r}")
+            return StateFileError(lineno, f"expected 're im' pair, got {text_row!r}")
         try:
             re, im = float(parts[0]), float(parts[1])
         except ValueError:
-            raise StateFileError(lineno, f"unparseable number in {text_row!r}") from None
+            return StateFileError(lineno, f"unparseable number in {text_row!r}")
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise StateFileError(lineno, f"non-finite amplitude in {text_row!r}")
-        amplitudes.append(complex(re, im))
-    try:
-        state = from_amplitudes(amplitudes)
-    except ValueError as exc:
-        raise StateFileError(header_line, str(exc)) from None
-    return state, label if label else None
+            return StateFileError(lineno, f"non-finite amplitude in {text_row!r}")
+    raise AssertionError("the amplitude rows have nothing wrong with them")
 
 
 def write_state_file(path, state: State, label: str | None = None) -> str:

@@ -3,8 +3,8 @@
 Everything here builds full 2^n x 2^n operators with np.kron or walks
 amplitude indices bit by bit, deliberately avoiding the reshape and
 einsum shortcuts used by the package, so the two sides can disagree. The
-one exception is the serial search reference at the end, which keeps the
-optimizer's arithmetic and changes only its schedule.
+exceptions are the row-by-row state-file parser and the serial search
+reference at the end, which keep the package's old code paths.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import math
 import numpy as np
 
 from maxent import search
+from maxent.linalg import MAX_QUBITS
 from maxent.measurement import _image_tables
-from maxent.states import State
+from maxent.statefile import FORMAT_TAG, StateFileError
+from maxent.states import State, from_amplitudes
 
 SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -189,6 +191,81 @@ def json_leaves(value) -> tuple:
     if isinstance(value, list):
         return tuple(leaf for item in value for leaf in json_leaves(item))
     return (json.dumps(value) if isinstance(value, bool) else value,)
+
+
+# ---------------------------------------------- row-by-row state-file parser
+#
+# statefile.parse_state as it was before it read the amplitude rows in one
+# pass: every line stripped and numbered, every row split, converted and
+# checked on its own. It is the reference for which documents are accepted
+# and for the line and message of each diagnostic.
+
+
+def _state_field(lines: list[tuple[int, str]], pos: int, key: str, required: bool):
+    if pos >= len(lines):
+        if required:
+            raise StateFileError(lines[-1][0], f"missing '{key}:' field")
+        return None, pos
+    lineno, text = lines[pos]
+    prefix = key + ":"
+    if not text.startswith(prefix):
+        if required:
+            raise StateFileError(lineno, f"expected '{key}:', got {text!r}")
+        return None, pos
+    return text[len(prefix):].strip(), pos + 1
+
+
+def parse_state_rows(text: str) -> tuple[State, str | None]:
+    lines = [
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip())
+    ]
+    if not lines:
+        raise StateFileError(1, "empty document")
+    pos = 0
+    tag, pos = _state_field(lines, pos, "format", required=True)
+    if tag != FORMAT_TAG:
+        raise StateFileError(lines[0][0], f"unsupported format {tag!r}, expected {FORMAT_TAG!r}")
+    n_text, pos = _state_field(lines, pos, "n_qubits", required=True)
+    n_line = lines[pos - 1][0]
+    try:
+        n = int(n_text)
+    except ValueError:
+        raise StateFileError(n_line, f"n_qubits must be an integer, got {n_text!r}") from None
+    if not 1 <= n <= MAX_QUBITS:
+        raise StateFileError(n_line, f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
+    label, pos = _state_field(lines, pos, "label", required=False)
+    header, pos = _state_field(lines, pos, "amplitudes", required=True)
+    header_line = lines[pos - 1][0]
+    if header:
+        raise StateFileError(header_line, "amplitudes header takes no value")
+    dim = 1 << n
+    rows = lines[pos:]
+    if len(rows) < dim:
+        raise StateFileError(
+            rows[-1][0] if rows else header_line,
+            f"expected {dim} amplitude lines, found {len(rows)}",
+        )
+    if len(rows) > dim:
+        raise StateFileError(rows[dim][0], f"unexpected content after {dim} amplitude lines")
+    amplitudes = []
+    for lineno, text_row in rows:
+        parts = text_row.split()
+        if len(parts) != 2:
+            raise StateFileError(lineno, f"expected 're im' pair, got {text_row!r}")
+        try:
+            re, im = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise StateFileError(lineno, f"unparseable number in {text_row!r}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise StateFileError(lineno, f"non-finite amplitude in {text_row!r}")
+        amplitudes.append(complex(re, im))
+    try:
+        state = from_amplitudes(amplitudes)
+    except ValueError as exc:
+        raise StateFileError(header_line, str(exc)) from None
+    return state, label if label else None
 
 
 # ------------------------------------------------- serial search reference

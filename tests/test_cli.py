@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -572,6 +573,28 @@ def test_generate_unencodable_label_leaves_out_untouched(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
     assert path.read_bytes() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_generate_out_to_dev_null_leaves_the_device(capsys):
+    # --out writes into what is there; it never swaps a device for a regular file
+    code, out, err = run(capsys, "generate", "ghz", "--out", "/dev/null")
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+def test_generate_out_through_a_symlink_keeps_the_link(capsys, tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"old contents\n")
+    try:
+        os.symlink(target.name, link)
+    except (OSError, NotImplementedError):
+        pytest.skip("no symlinks here")
+    plain = tmp_path / "plain.txt"
+    for path in (link, plain):
+        assert run(capsys, "generate", "ghz", "--out", str(path))[:2] == (0, "")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == plain.read_bytes()
 
 
 def _unwritable(tmp_path):

@@ -96,6 +96,71 @@ def test_parse_returns_the_unit_state_at_any_scale(state, k):
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
 
+# What a mutated document may hold: tokens float() reads as non-finite, or
+# rejects, or accepts where numpy's own string parser would not ("1_0", a
+# fullwidth digit); CRLF, CR and the rarer breaks str.splitlines knows; padding.
+_TOKENS = st.sampled_from(
+    ["0", "-0.0", "0.5", "1e-400", "1e200", "nan", "-inf", "Infinity", "1e400", "-1e400",
+     "1_0", "0x1p0", "\uff11", "1e", "--1", "x", ".5", "+.5E-3"]
+)
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000"])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A state document with up to two lines dropped, repeated, blanked or
+    padded, then up to three tokens of its amplitude rows added, removed or
+    replaced, its lines joined by mixed breaks."""
+    state = draw(states(max_qubits=3))
+    label = draw(st.sampled_from([None, "run 3"]))
+    lines = format_state(state, label).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "blank", "pad"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "blank":
+            lines[i] = draw(st.sampled_from(["", " ", "\t"]))
+        else:
+            lines[i] = draw(_SPACES) + lines[i] + draw(_SPACES)
+    first_row = 3 if label is None else 4
+    for _ in range(draw(st.integers(0, 3)) if len(lines) > first_row else 0):
+        i = draw(st.integers(first_row, len(lines) - 1))
+        tokens = lines[i].split()
+        kind = draw(st.sampled_from(["add", "remove", "swap", "swap"]))
+        if kind == "add":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(_TOKENS))
+        elif tokens:
+            k = draw(st.integers(0, len(tokens) - 1))
+            if kind == "remove":
+                del tokens[k]
+            else:
+                tokens[k] = draw(_TOKENS)
+        lines[i] = draw(_SPACES).join(tokens)
+    breaks = draw(st.lists(_BREAKS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _parse_outcome(parse, text):
+    try:
+        state, label = parse(text)
+    except StateFileError as exc:
+        return exc.line, str(exc)
+    return state.n_qubits, state.amplitudes.tobytes(), label
+
+
+@settings(PROPERTY, max_examples=400)
+@given(mutated_documents())
+def test_parse_agrees_with_the_row_by_row_parser(text):
+    """The one-pass parser accepts what the row-by-row reference accepts, with
+    the same bits and label, and rejects the rest on the same line with the
+    same message."""
+    assert _parse_outcome(parse_state, text) == _parse_outcome(oracles.parse_state_rows, text)
+
+
 @PROPERTY
 @given(states())
 def test_entropy_deficit_bounds_the_bloch_length(state):

@@ -131,6 +131,72 @@ def test_parse_diagnostics():
     )
 
 
+def _rows_document(*rows: str) -> str:
+    """A 2-qubit document (header on lines 1-3) with the given amplitude rows."""
+    return "format: maxent-state/1\nn_qubits: 2\namplitudes:\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        # the first bad row wins, whatever is wrong with a later one
+        (("1 0", "nan 0", "x 0", "0 0"), 5, "non-finite amplitude in 'nan 0'"),
+        (("1 0", "0 1e400", "0 0 0", "0 0"), 5, "non-finite amplitude in '0 1e400'"),
+        (("1 0", "x 0", "0 0 0", "0 0"), 5, "unparseable number in 'x 0'"),
+        (("1 0", "1_0 0x1", "0 inf", "0 0"), 5, "unparseable number in '1_0 0x1'"),
+        (("1 0", "0 0 0", "nan 0", "0 0"), 5, "expected 're im' pair, got '0 0 0'"),
+        (("1 0", "0", "x 0", "0 0"), 5, "expected 're im' pair, got '0'"),
+        # within a row: the token count, then float() syntax, then finiteness
+        (("1 0", "nan x", "0 0", "0 0"), 5, "unparseable number in 'nan x'"),
+        (("1 0", "nan x 0", "0 0", "0 0"), 5, "expected 're im' pair, got 'nan x 0'"),
+        # the row count comes before any row error
+        (("nan 0", "x 0", "0 0 0"), 6, "expected 4 amplitude lines, found 3"),
+        (("nan 0", "x 0", "0 0 0", "0 0", "0 0"), 8, "unexpected content after 4 amplitude lines"),
+        (("1 0", "0 0", "0 0", "0 0", "x y z"), 8, "unexpected content after 4 amplitude lines"),
+        ((), 3, "expected 4 amplitude lines, found 0"),
+    ],
+)
+def test_row_errors_keep_their_order(rows, line, message):
+    with pytest.raises(StateFileError) as err:
+        parse_state(_rows_document(*rows))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_blank_lines_among_the_rows_keep_line_numbers():
+    rows = ("0.5 0", "", "0.5 0", " \t ", "", "0.5 0", "0.5 0", "")
+    st, _ = parse_state(_rows_document(*rows))
+    assert st.amplitudes.tolist() == [0.5, 0.5, 0.5, 0.5]
+    for bad, line in ((("0.5 0", "", "x 0"), 6), (("0.5 0", "", "", "0 inf"), 7)):
+        with pytest.raises(StateFileError) as err:
+            parse_state(_rows_document(*bad, "0 0", "0 0"))
+        assert err.value.line == line
+    with pytest.raises(StateFileError) as err:
+        parse_state(_rows_document(*rows, "", "0 0"))
+    assert str(err.value) == "line 13: unexpected content after 4 amplitude lines"
+    with pytest.raises(StateFileError) as err:
+        parse_state(_rows_document("0.5 0", "", "0.5 0", "", ""))
+    assert str(err.value) == "line 6: expected 4 amplitude lines, found 2"
+
+
+def test_one_qubit_document():
+    text = "format: maxent-state/1\nn_qubits: 1\nlabel: one\namplitudes:\n-0.0 0.6\n0.8 -0.0\n"
+    st, label = parse_state(text)
+    assert label == "one" and st.n_qubits == 1
+    want = np.array([0.6j, 0.8], dtype=complex)
+    want.real[0] = want.imag[1] = -0.0  # signed zeros survive
+    assert st.amplitudes.tobytes() == want.tobytes()
+    for rows, line, message in (
+        ("1 0\n", 5, "expected 2 amplitude lines, found 1"),
+        ("1 0\n0 0\n0 0\n", 7, "unexpected content after 2 amplitude lines"),
+        ("inf 0\n0 0\n", 5, "non-finite amplitude in 'inf 0'"),
+        ("0 0\n0 -0.0\n", 4, "amplitude vector has (near) zero norm"),
+    ):
+        with pytest.raises(StateFileError) as err:
+            parse_state(text.split("-0.0 0.6")[0] + rows)
+        assert str(err.value) == f"line {line}: {message}"
+
+
 def test_file_io(tmp_path):
     path = tmp_path / "state.txt"
     st = epr_family("varphi", 1.25)
